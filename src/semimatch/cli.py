@@ -1,7 +1,7 @@
 """Command-line surface: generate, solve, verify, bench.
 
-Exit codes: 0 success, 1 error, 2 infeasible instance.  All reports are JSON
-on stdout; bench writes CSV.
+Exit codes: 0 success, 1 error (bad input or bad arguments), 2 infeasible
+instance.  All reports are JSON on stdout; bench writes CSV.
 """
 
 from __future__ import annotations
@@ -20,39 +20,22 @@ from .instance import (
     Instance,
     InstanceError,
     generate_instance,
-    normalize_weights,
     read_instance,
     write_instance,
 )
 from .matching import CapacityProfile, CapMatching
-from .simulate import ModelSpec, round_budget, run_simulation, verify_message_budget
-from .solvers import (
-    Assignment,
-    InfeasibleError,
-    MultiAssignment,
-    solve_backup,
-    solve_sequential,
-    solve_unweighted,
-    solve_weighted_congest,
-    solve_weighted_local,
-    split_assignment_seq,
+from .simulate import (
+    REGISTRY,
+    Algorithm,
+    ModelSpec,
+    SimTrace,
+    by_name,
+    round_budget,
+    run_simulation,
+    simulated,
+    verify_message_budget,
 )
-
-SOLVE_ALGOS = ("seq", "congest-unweighted", "congest-weighted", "local-weighted", "backup")
-
-_SIM_MODEL = {
-    "congest-unweighted": "CONGEST",
-    "congest-weighted": "CONGEST",
-    "local-weighted": "LOCAL",
-    "backup": "CONGEST",
-}
-
-_SIM_ID = {
-    "congest-unweighted": "congest-unweighted",
-    "congest-weighted": "congest-weighted",
-    "local-weighted": "local-weighted",
-    "backup": "congest-backup",
-}
+from .solvers import Assignment, InfeasibleError, MultiAssignment
 
 
 def instance_digest(inst: Instance) -> str:
@@ -102,24 +85,10 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_algo(inst: Instance, algo: str, r: int):
-    if algo == "seq":
-        return solve_sequential(inst)
-    if algo == "congest-unweighted":
-        return solve_unweighted(inst)[0]
-    if algo == "congest-weighted":
-        return solve_weighted_congest(inst)
-    if algo == "local-weighted":
-        return solve_weighted_local(inst)
-    if algo == "backup":
-        return solve_backup(inst, r)
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
-def _oracle_comparison(inst: Instance, algo: str, r: int, lv) -> dict:
+def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> dict:
     out: dict = {}
     try:
-        if algo == "backup":
+        if algo.takes_r:
             opt = oracle_mod.opt_backup_enum(inst, r)
             out["opt_linf"] = opt
             out["ratio_linf"] = lv.max() / opt if opt else None
@@ -140,20 +109,12 @@ def _oracle_comparison(inst: Instance, algo: str, r: int, lv) -> dict:
 
 
 def cmd_solve(args) -> int:
-    inst = read_instance(args.instance)
-    if args.algo == "congest-unweighted" and not inst.is_unit_weight():
-        raise ValueError(
-            "congest-unweighted requires unit weights; normalize and use "
-            "congest-weighted (or local-weighted) for weighted instances"
-        )
-    normalized = False
-    if args.algo in ("seq", "congest-weighted", "local-weighted", "backup"):
-        if not inst.is_normalized():
-            inst = normalize_weights(inst)
-            normalized = True
-    if args.algo == "backup" and args.r is None:
-        raise ValueError("backup requires --r")
-    r = args.r if args.r is not None else 1
+    algo = by_name(args.algo)
+    algo.check_request(args.simulate, args.r)
+    if args.dump_matchings and (args.simulate or not algo.dumps_matchings):
+        dumpers = " or ".join(a.name for a in REGISTRY if a.dumps_matchings)
+        raise ValueError(f"--dump-matchings needs a direct {dumpers} solve")
+    inst, normalized = algo.prepare(read_instance(args.instance))
 
     report: dict = {
         "instance": instance_digest(inst),
@@ -161,14 +122,12 @@ def cmd_solve(args) -> int:
         "normalized": normalized,
     }
     start = time.perf_counter()
-    trace = None
+    trace = matchings = None
     if args.simulate:
-        if args.algo == "seq":
-            raise ValueError("seq is a sequential algorithm; nothing to simulate")
-        model = ModelSpec(model=_SIM_MODEL[args.algo])
-        result, trace = run_simulation(inst, _SIM_ID[args.algo], model, seed=args.seed, r=r)
+        result, trace = run_simulation(inst, algo.trace_id, ModelSpec(model=algo.model),
+                                       r=args.r)
     else:
-        result = _run_algo(inst, args.algo, r)
+        result, matchings = algo.solve(inst, args.r)
     elapsed = time.perf_counter() - start
 
     lv = result.load_vector()
@@ -176,11 +135,11 @@ def cmd_solve(args) -> int:
     report["norms"] = _norms(lv, args.p or ())
     if isinstance(result, MultiAssignment):
         report["assignment"] = {str(c): list(ss) for c, ss in sorted(result.mapping.items())}
-        report["r"] = r
+        report["r"] = args.r
     else:
         report["assignment"] = {str(c): s for c, s in sorted(result.mapping.items())}
     if args.oracle:
-        report["oracle"] = _oracle_comparison(inst, args.algo, r, lv)
+        report["oracle"] = _oracle_comparison(inst, algo, args.r, lv)
         ratios = report["oracle"].get("ratios", {})
         for val in ratios.values():
             if val is not None and val < 1 - 1e-9:
@@ -191,21 +150,17 @@ def cmd_solve(args) -> int:
             trace.write(args.trace_out)
     report["wall_time_s"] = round(elapsed, 6)
 
-    if args.dump_matchings and args.algo in ("congest-unweighted", "seq"):
-        _dump_matchings(inst, args.algo, args.dump_matchings)
+    if args.dump_matchings:
+        _dump_matchings(inst, matchings, args.dump_matchings)
 
     print(json.dumps(report, indent=1))
     return 0
 
 
-def _dump_matchings(inst: Instance, algo: str, directory: str) -> None:
+def _dump_matchings(inst: Instance, per_b: dict[int, CapMatching], directory: str) -> None:
     import os
 
     os.makedirs(directory, exist_ok=True)
-    if algo == "congest-unweighted":
-        _, per_b = solve_unweighted(inst)
-    else:
-        _, per_b = split_assignment_seq(inst)
     for b, matching in per_b.items():
         doc = {
             "kappa": {str(c): matching.profile.kappa[c] for c in inst.clients},
@@ -270,12 +225,9 @@ def cmd_verify(args) -> int:
                 if verdict is not True:
                     entry["witness_client"] = verdict.client
             elif name == "budget":
-                model = ModelSpec(model="LOCAL" if doc["algorithm"] == "local-weighted"
-                                  else "CONGEST")
+                model = ModelSpec(model=simulated(doc["algorithm"]).model)
                 expected = round_budget(doc["algorithm"], doc["n"], model,
                                         n_expanded=doc.get("nExpanded"))
-                from .simulate import SimTrace
-
                 trace = SimTrace(doc["algorithm"], doc["n"], doc.get("nExpanded", doc["n"]),
                                  doc["chargedRounds"], doc["phases"], doc["simulatedMessages"])
                 entry["pass"] = (doc["chargedRounds"] == expected
@@ -323,20 +275,21 @@ def cmd_bench(args) -> int:
         suite = _doubling_suite(lo, hi, args.seed)
     else:
         suite = []
+    algos = [by_name(entry.get("algo")) for entry in suite]
+    for entry, algo in zip(suite, algos):
+        algo.check_request(entry.get("simulate", False), entry.get("r"))
     rows = []
-    for entry in suite:
+    for entry, algo in zip(suite, algos):
         inst = generate_instance(entry["generator"], seed=entry.get("seed", 0),
                                  **entry.get("params", {}))
-        algo = entry["algo"]
-        work = normalize_weights(inst) if algo != "congest-unweighted" else inst
+        work, _ = algo.prepare(inst)
         start = time.perf_counter_ns()
         if entry.get("simulate"):
-            model = ModelSpec(model=_SIM_MODEL[algo])
-            result, trace = run_simulation(work, _SIM_ID[algo], model,
-                                           seed=entry.get("seed", 0), r=entry.get("r", 2))
+            result, trace = run_simulation(work, algo.trace_id, ModelSpec(model=algo.model),
+                                           r=entry.get("r"))
             charged = trace.charged_rounds
         else:
-            result = _run_algo(work, algo, entry.get("r", 1))
+            result, _ = algo.solve(work, entry.get("r"))
             charged = ""
         elapsed = time.perf_counter_ns() - start
         lv = result.load_vector()
@@ -347,7 +300,7 @@ def cmd_bench(args) -> int:
                 ratio = lv.max() / optima[math.inf]
             except oracle_mod.EnumerationTooLarge:
                 ratio = ""
-        rows.append([work.n, work.m, algo, elapsed, lv.max(), ratio, charged])
+        rows.append([work.n, work.m, algo.name, elapsed, lv.max(), ratio, charged])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "m", "algo", "time_ns", "linf", "ratio", "charged_rounds"])
@@ -379,13 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("instance")
-    solve.add_argument("--algo", choices=SOLVE_ALGOS, required=True)
+    solve.add_argument("--algo", choices=[a.name for a in REGISTRY], required=True)
     solve.add_argument("--r", type=int)
     solve.add_argument("--oracle", action="store_true")
     solve.add_argument("--simulate", action="store_true")
     solve.add_argument("--trace-out", dest="trace_out")
     solve.add_argument("--dump-matchings", dest="dump_matchings")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--p", type=float, action="append",
                        help="report an additional l_p norm")
     solve.set_defaults(func=cmd_solve)
@@ -410,7 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad arguments, but 2 means infeasible here
+        if exc.code == 0:  # --help
+            raise
+        return 1
     try:
         return args.func(args)
     except InfeasibleError as exc:

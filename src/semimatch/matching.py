@@ -111,9 +111,6 @@ class CapMatching:
             if x > self.profile.cap(e):
                 raise ValueError(f"edge {e} over capacity: {x} > {self.profile.cap(e)}")
 
-    def copy(self) -> "CapMatching":
-        return CapMatching(self.inst, self.profile, dict(self.mult))
-
 
 @dataclass
 class AugPath:
@@ -188,16 +185,6 @@ def find_augmenting_path(
                 depth[c] = d + 1
                 queue.append(c)
     return None
-
-
-def augment(matching: CapMatching, path: AugPath, amount: int = 1) -> None:
-    """Push ``amount`` units along an augmenting path."""
-    verts = path.vertices
-    for i in range(len(verts) - 1):
-        if i % 2 == 0:
-            matching.add(verts[i], verts[i + 1], amount)
-        else:
-            matching.add(verts[i + 1], verts[i], -amount)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +290,6 @@ def eliminate_short_paths(
     inst: Instance,
     profile: CapacityProfile,
     k: int,
-    start: CapMatching | None = None,
     debug_csv=None,
 ) -> CapMatching:
     """Compute a matching with no augmenting path of length <= k.
@@ -314,7 +300,7 @@ def eliminate_short_paths(
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and >= 1")
-    matching = start.copy() if start is not None else CapMatching(inst, profile)
+    matching = CapMatching(inst, profile)
     writer = None
     fh = None
     if debug_csv is not None:

@@ -16,7 +16,7 @@ import networkx as nx
 
 from .instance import Instance
 from .matching import AugPath, CapacityProfile, CapMatching
-from .solvers import Assignment, InfeasibleError, LoadVector
+from .solvers import Assignment, InfeasibleError
 
 
 class PreconditionError(Exception):
@@ -296,40 +296,48 @@ def verify_no_short_aug_paths(
         cdeg[c] += x
         sdeg[s] += x
     for c in inst.clients:
-        if cdeg[c] >= profile.kappa[c]:
-            continue
-        parent: dict[int, int | None] = {c: None}
-        depth = {c: 0}
-        queue = deque([c])
-        while queue:
-            v = queue.popleft()
-            if depth[v] >= k:
-                continue
-            if v in inst.client_adj:
-                for s in inst.client_adj[v]:
-                    if s in parent or profile.tau[s] == 0:
-                        continue
-                    if matching.mult.get((v, s), 0) >= profile.cap((v, s)):
-                        continue
-                    parent[s] = v
-                    depth[s] = depth[v] + 1
-                    if sdeg[s] < profile.tau[s]:
-                        path = [s]
-                        u: int | None = v
-                        while u is not None:
-                            path.append(u)
-                            u = parent[u]
-                        path.reverse()
-                        return AugPath(path)
-                    queue.append(s)
-            else:
-                for c2 in inst.server_adj[v]:
-                    if c2 in parent or matching.mult.get((c2, v), 0) == 0:
-                        continue
-                    parent[c2] = v
-                    depth[c2] = depth[v] + 1
-                    queue.append(c2)
+        if cdeg[c] < profile.kappa[c]:
+            path = _short_aug_path(inst, profile, matching, sdeg, c, k)
+            if path is not None:
+                return path
     return True
+
+
+def _short_aug_path(inst, profile, matching, sdeg, c, k) -> AugPath | None:
+    """A shortest augmenting path of length <= k from client c, or None, by
+    BFS over the residual orientation; ``sdeg`` holds the server degrees."""
+    parent: dict[int, int | None] = {c: None}
+    depth = {c: 0}
+    queue = deque([c])
+    while queue:
+        v = queue.popleft()
+        if depth[v] >= k:
+            continue
+        if v in inst.client_adj:
+            for s in inst.client_adj[v]:
+                if s in parent or profile.tau[s] == 0:
+                    continue
+                if matching.mult.get((v, s), 0) >= profile.cap((v, s)):
+                    continue
+                parent[s] = v
+                depth[s] = depth[v] + 1
+                if sdeg[s] < profile.tau[s]:
+                    path = [s]
+                    u: int | None = v
+                    while u is not None:
+                        path.append(u)
+                        u = parent[u]
+                    path.reverse()
+                    return AugPath(path)
+                queue.append(s)
+        else:
+            for c2 in inst.server_adj[v]:
+                if c2 in parent or matching.mult.get((c2, v), 0) == 0:
+                    continue
+                parent[c2] = v
+                depth[c2] = depth[v] + 1
+                queue.append(c2)
+    return None
 
 
 @dataclass
@@ -363,42 +371,13 @@ def verify_expansion_lemma(
     bound = 2 * math.ceil(math.log(max(2, tau_total), alpha)) + 1
     if bound % 2 == 0:
         bound += 1
-    prof = matching.profile
     for c in inst.clients:
         if matching.client_saturated(c):
             continue
-        if not _has_short_path_from(inst, prof, matching, c, bound):
+        if _short_aug_path(inst, matching.profile, matching, matching.server_deg, c,
+                           bound) is None:
             return ExpansionCounterexample(inst, matching, c, bound)
     return True
-
-
-def _has_short_path_from(inst, prof, matching, c, bound) -> bool:
-    parent = {c: None}
-    depth = {c: 0}
-    queue = deque([c])
-    while queue:
-        v = queue.popleft()
-        if depth[v] >= bound:
-            continue
-        if v in inst.client_adj:
-            for s in inst.client_adj[v]:
-                if s in parent or prof.tau[s] == 0:
-                    continue
-                if matching.mult.get((v, s), 0) >= prof.cap((v, s)):
-                    continue
-                parent[s] = v
-                depth[s] = depth[v] + 1
-                if not matching.server_saturated(s):
-                    return True
-                queue.append(s)
-        else:
-            for c2 in inst.server_adj[v]:
-                if c2 in parent or matching.mult.get((c2, v), 0) == 0:
-                    continue
-                parent[c2] = v
-                depth[c2] = depth[v] + 1
-                queue.append(c2)
-    return False
 
 
 # ---------------------------------------------------------------------------

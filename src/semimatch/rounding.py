@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .instance import Instance
-from .matching import CapacityProfile, CapMatching
 
 
 @dataclass
@@ -43,13 +42,6 @@ class SplitAssignment:
         for (_, s), x in self.mult.items():
             out[s] += x
         return out
-
-    def as_matching(self) -> CapMatching:
-        profile = CapacityProfile(
-            dict(self.inst.weight),
-            {s: self.inst.total_weight for s in self.inst.servers},
-        )
-        return CapMatching(self.inst, profile, dict(self.mult))
 
 
 def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
@@ -96,11 +88,9 @@ def _find_support_cycle(mult: dict[tuple[int, int], int]) -> list[tuple[int, int
                     cyc_vertices = (
                         pv[: pv.index(lca) + 1] + list(reversed(pu[: pu.index(lca)])) + [v]
                     )
-                    # cyc_vertices: v .. lca .. u, close with edge (u, v)
-                    cycle = []
-                    for a, b in zip(cyc_vertices, cyc_vertices[1:]):
-                        cycle.append(_as_edge(a, b))
-                    return cycle
+                    # cyc_vertices: v .. lca .. u, close with edge (u, v);
+                    # endpoints are unordered, cancel_cycles orients them
+                    return list(zip(cyc_vertices, cyc_vertices[1:]))
                 parent[u] = v
                 seen.add(u)
                 stack.append(u)
@@ -112,12 +102,6 @@ def _path_to_root(parent: dict[int, int | None], v: int) -> list[int]:
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return path
-
-
-def _as_edge(a: int, b: int) -> tuple[int, int]:
-    # edges are stored (client, server); the smaller endpoint need not be the
-    # client, so orient by membership instead of order at the call sites
-    return (a, b)
 
 
 def _orient(inst: Instance, a: int, b: int) -> tuple[int, int]:

@@ -7,14 +7,19 @@ sequentially and sum; parallel class/budget phases take the maximum.  Final
 assignment announcements are explicitly simulated as one ceil(log2 n)-bit
 message per assigned edge, riding in the last charged round so that the total
 charge matches the closed-form budget exactly.
+
+``REGISTRY`` is the one table of the suite's algorithms; the CLI, its bench
+and ``run_simulation`` all dispatch through it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .instance import Instance
+from .instance import Instance, normalize_weights
+from .rounding import round_split
 from .solvers import (
     Assignment,
     MultiAssignment,
@@ -24,9 +29,8 @@ from .solvers import (
     solve_unweighted,
     solve_weighted_congest,
     solve_weighted_local,
+    split_assignment_seq,
 )
-
-ALGORITHMS = ("congest-unweighted", "congest-weighted", "local-weighted", "congest-backup")
 
 
 class ModelMismatchError(Exception):
@@ -111,19 +115,111 @@ def _local_charge(n: int) -> int:
     return k**2 * _ceil_log2(n)
 
 
+def _per_budget(suffix: str):
+    """Charges of a doubling-schedule algorithm: one CONGEST matching per
+    budget.  ``suffix`` ends each phase label and may name ``{r}``."""
+    return lambda n, n_expanded, r: [
+        (f"matching B={B}{suffix.format(r=r)}", _congest_charge(n)) for B in b_schedule(n)
+    ]
+
+
+def _local_phases(n: int, n_expanded: int, r) -> list[tuple[str, int]]:
+    return [
+        ("expanded emulation (max over parallel budgets)", _local_charge(n_expanded)),
+        ("per-class re-matching (max over parallel classes)", _local_charge(n)),
+    ]
+
+
+def _sequential(inst: Instance):
+    split, matchings = split_assignment_seq(inst)
+    return round_split(inst, split), matchings
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm of the suite and everything its callers need to know.
+
+    ``solve(inst, r)`` returns (result, per-budget matchings or None).  The
+    table's entries call their solvers through this module's globals at call
+    time, so a caller that rebinds those names (a tracer, a test spy) sees
+    every call.
+    """
+
+    name: str  # CLI --algo
+    trace_id: str  # algorithm id in traces and round budgets
+    solve: Callable
+    model: str | None = None  # CONGEST or LOCAL; None for a sequential algorithm
+    phases: Callable | None = None  # (n, n_expanded, r) -> [(label, charged rounds)]
+    unit_weights: bool = False  # unit weights only, else power-of-two normalized
+    dumps_matchings: bool = False  # solve returns the per-budget matchings
+    takes_r: bool = False  # needs a replication factor r
+
+    def prepare(self, inst: Instance) -> tuple[Instance, bool]:
+        """The instance this algorithm accepts, and whether it was
+        normalized to get it."""
+        if self.unit_weights:
+            if not inst.is_unit_weight():
+                raise ValueError(
+                    f"{self.name} requires unit weights; normalize and use "
+                    "congest-weighted (or local-weighted) for weighted instances"
+                )
+            return inst, False
+        if inst.is_normalized():
+            return inst, False
+        return normalize_weights(inst), True
+
+    def check_request(self, simulate: bool, r: int | None) -> None:
+        if simulate and self.model is None:
+            raise ValueError(f"{self.name} is a sequential algorithm; nothing to simulate")
+        if self.takes_r and r is None:
+            raise ValueError(f"{self.name} requires a replication factor r (--r)")
+
+
+REGISTRY = (
+    Algorithm("seq", "seq", lambda inst, r: _sequential(inst), dumps_matchings=True),
+    Algorithm("congest-unweighted", "congest-unweighted", lambda inst, r: solve_unweighted(inst),
+              "CONGEST", _per_budget(""), unit_weights=True, dumps_matchings=True),
+    # classes run in parallel over edge-disjoint subgraphs; every class
+    # executes the full budget schedule, so the maximum equals one
+    # schedule's worth of charges
+    Algorithm("congest-weighted", "congest-weighted",
+              lambda inst, r: (solve_weighted_congest(inst), None),
+              "CONGEST", _per_budget(" (max over parallel classes)")),
+    Algorithm("local-weighted", "local-weighted",
+              lambda inst, r: (solve_weighted_local(inst), None), "LOCAL", _local_phases),
+    Algorithm("backup", "congest-backup", lambda inst, r: (solve_backup(inst, r), None),
+              "CONGEST", _per_budget(" r={r}"), takes_r=True),
+)
+_BY_NAME = {a.name: a for a in REGISTRY}
+_SIMULATED = {a.trace_id: a for a in REGISTRY if a.model is not None}
+ALGORITHMS = tuple(_SIMULATED)
+
+
+def by_name(name: str) -> Algorithm:
+    """The algorithm named ``name`` on the CLI."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return _BY_NAME[name]
+
+
+def simulated(algorithm: str) -> Algorithm:
+    """The distributed algorithm with trace id ``algorithm``."""
+    if algorithm not in _SIMULATED:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _SIMULATED[algorithm]
+
+
 def round_budget(algorithm: str, n: int, model: ModelSpec, n_expanded: int | None = None) -> int:
     """Closed-form round budget with explicit constants.
 
     ``n_expanded`` is the client-expanded vertex count, needed only for
     local-weighted (defaults to n, exact for unit weights).
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     logn = _ceil_log2(n)
-    if algorithm in ("congest-unweighted", "congest-weighted", "congest-backup"):
+    if simulated(algorithm).model == "CONGEST":
         return (logn + 1) * _congest_charge(n)
-    # local-weighted: parallel-budget emulation phase on the expanded graph
-    # plus the parallel per-class phase on the base graph
+    # LOCAL: parallel-budget emulation phase on the expanded graph plus the
+    # parallel per-class phase on the base graph
     nt = n_expanded if n_expanded is not None else n
     return _local_charge(nt) + _local_charge(n)
 
@@ -132,23 +228,16 @@ def run_simulation(
     inst: Instance,
     algorithm: str,
     model: ModelSpec,
-    seed: int = 0,
     r: int = 2,
 ):
     """Execute a solver under round accounting.
 
     Returns (result, SimTrace).  The result is identical to the direct solver
-    call; only the accounting differs.  ``seed`` is accepted for interface
-    stability (the solvers are deterministic).
+    call; only the accounting differs.
     """
-    del seed
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "local-weighted":
-        if model.model != "LOCAL":
-            raise ModelMismatchError("local-weighted requires the LOCAL model")
-    elif model.model != "CONGEST":
-        raise ModelMismatchError(f"{algorithm} requires the CONGEST model")
+    algo = simulated(algorithm)
+    if model.model != algo.model:
+        raise ModelMismatchError(f"{algorithm} requires the {algo.model} model")
 
     n = inst.n
     n_expanded = inst.total_weight + len(inst.servers)
@@ -156,25 +245,9 @@ def run_simulation(
     limit = model.bandwidth_bits(n)
     msg_bits = _ceil_log2(max(2, n))
 
-    if algorithm == "congest-unweighted":
-        result, _ = solve_unweighted(inst)
-        for B in b_schedule(n):
-            trace.charge(f"matching B={B}", _congest_charge(n))
-    elif algorithm == "congest-weighted":
-        result = solve_weighted_congest(inst)
-        # classes run in parallel over edge-disjoint subgraphs; every class
-        # executes the full budget schedule, so the maximum equals one
-        # schedule's worth of charges
-        for B in b_schedule(n):
-            trace.charge(f"matching B={B} (max over parallel classes)", _congest_charge(n))
-    elif algorithm == "congest-backup":
-        result = solve_backup(inst, r)
-        for B in b_schedule(n):
-            trace.charge(f"matching B={B} r={r}", _congest_charge(n))
-    else:  # local-weighted
-        result = solve_weighted_local(inst)
-        trace.charge("expanded emulation (max over parallel budgets)", _local_charge(n_expanded))
-        trace.charge("per-class re-matching (max over parallel classes)", _local_charge(n))
+    result, _ = algo.solve(inst, r)
+    for label, rounds in algo.phases(n, n_expanded, r):
+        trace.charge(label, rounds)
 
     # announcement: each client tells its chosen server(s); piggybacks on the
     # final charged round (charged 0 additional rounds)

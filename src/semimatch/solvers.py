@@ -17,10 +17,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import (
-    ExpandedInstance,
     Instance,
     client_expand,
     induced_subinstance,
@@ -169,20 +168,35 @@ def solve_unweighted(
     return Assignment(inst, mapping), matchings
 
 
+def _per_class(inst: Instance, solve_class) -> dict[int, tuple[int, ...]]:
+    """The per-weight-class reduction.
+
+    Calls ``solve_class(view, sub, smap)`` on each class's induced
+    sub-instance (clients relabelled densely and treated as unit weight;
+    ``smap`` maps base server ids to sub ids).  It returns sub client ->
+    the sub servers chosen for it; this returns base client -> the base
+    servers chosen for it, ascending.
+    """
+    chosen: dict[int, tuple[int, ...]] = {}
+    for view in weight_classes(inst):
+        sub, cmap, smap = induced_subinstance(inst, view.clients, view.servers)
+        inv_c = {v: k for k, v in cmap.items()}
+        inv_s = {v: k for k, v in smap.items()}
+        for c, servers in solve_class(view, sub, smap).items():
+            chosen[inv_c[c]] = tuple(sorted(inv_s[s] for s in servers))
+    return chosen
+
+
 def solve_weighted_congest(inst: Instance) -> Assignment:
     """Per-weight-class reduction: run the unweighted solver on each class
     subgraph (clients treated as unit weight) and combine."""
     _require_normalized(inst)
     _check_feasible(inst)
-    mapping: dict[int, int] = {}
-    for view in weight_classes(inst):
-        sub, cmap, smap = induced_subinstance(inst, view.clients, view.servers)
-        sub_assignment, _ = solve_unweighted(sub)
-        inv_c = {v: k for k, v in cmap.items()}
-        inv_s = {v: k for k, v in smap.items()}
-        for c, s in sub_assignment.mapping.items():
-            mapping[inv_c[c]] = inv_s[s]
-    return Assignment(inst, mapping)
+
+    def solve_class(view, sub, smap):
+        return {c: (s,) for c, s in solve_unweighted(sub)[0].mapping.items()}
+
+    return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
 
 
 def solve_weighted_local(inst: Instance) -> Assignment:
@@ -198,8 +212,8 @@ def solve_weighted_local(inst: Instance) -> Assignment:
     exp = client_expand(inst)
     tilde_a, _ = solve_unweighted(exp.instance)
     n_tilde = exp.instance.n
-    mapping: dict[int, int] = {}
-    for view in weight_classes(inst):
+
+    def solve_class(view, sub, smap):
         class_clients = set(view.clients)
         # loads of the expanded assignment restricted to this class's copies
         restricted: dict[int, int] = {s: 0 for s in inst.servers}
@@ -211,21 +225,17 @@ def solve_weighted_local(inst: Instance) -> Assignment:
         tau_i = {
             s: (restricted[s] + wi if restricted[s] > 0 else 0) for s in view.servers
         }
-        sub, cmap, smap = induced_subinstance(inst, view.clients, view.servers)
         sub_tau = {smap[s]: 2 * math.ceil(tau_i[s] / wi) if tau_i[s] > 0 else 0
                    for s in view.servers}
-        profile = CapacityProfile({cmap[c]: 1 for c in view.clients}, sub_tau)
+        profile = CapacityProfile({c: 1 for c in sub.clients}, sub_tau)
         x = eliminate_short_paths(sub, profile, short_path_bound(n_tilde))
         if not is_client_perfect(sub, x):
             raise AssertionError(
                 f"class {view.class_index} matching not client-perfect; engine bug"
             )
-        inv_c = {v: k for k, v in cmap.items()}
-        inv_s = {v: k for k, v in smap.items()}
-        for (c, s), v in x.mult.items():
-            if v > 0:
-                mapping[inv_c[c]] = inv_s[s]
-    return Assignment(inst, mapping)
+        return {c: (s,) for (c, s), v in x.mult.items() if v > 0}
+
+    return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
 
 
 def split_assignment_seq(
@@ -322,15 +332,8 @@ def solve_backup(inst: Instance, r: int) -> MultiAssignment:
     if inst.is_unit_weight():
         return _solve_backup_unit(inst, r)
     _require_normalized(inst)
-    mapping: dict[int, tuple[int, ...]] = {}
-    for view in weight_classes(inst):
-        sub, cmap, smap = induced_subinstance(inst, view.clients, view.servers)
-        sub_result = _solve_backup_unit(sub, r)
-        inv_c = {v: k for k, v in cmap.items()}
-        inv_s = {v: k for k, v in smap.items()}
-        for c, chosen in sub_result.mapping.items():
-            mapping[inv_c[c]] = tuple(sorted(inv_s[s] for s in chosen))
-    return MultiAssignment(inst, r, mapping)
+    chosen = _per_class(inst, lambda view, sub, smap: _solve_backup_unit(sub, r).mapping)
+    return MultiAssignment(inst, r, chosen)
 
 
 def _solve_backup_unit(inst: Instance, r: int) -> MultiAssignment:

@@ -324,12 +324,12 @@ def test_criterion_10_round_accounting(capsys):
             runs.append((unit, "congest-backup", ModelSpec("CONGEST"),
                          lambda i: solve_backup(i, 2)))
         for inst, algo, model, direct in runs:
-            result, trace = run_simulation(inst, algo, model, seed=seed, r=2)
+            result, trace = run_simulation(inst, algo, model, r=2)
             expected = round_budget(algo, inst.n, model, n_expanded=trace.n_expanded)
             assert trace.charged_rounds == expected, algo
             assert verify_message_budget(trace, model), algo
             assert result.mapping == direct(inst).mapping, algo
-            _, trace2 = run_simulation(inst, algo, model, seed=seed, r=2)
+            _, trace2 = run_simulation(inst, algo, model, r=2)
             assert trace.to_json() == trace2.to_json(), algo
             checked += 1
     ok = checked >= 30

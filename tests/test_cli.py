@@ -1,9 +1,10 @@
 import csv
 import json
+import sys
 
 import pytest
 
-from semimatch import write_instance
+from semimatch import solvers, write_instance
 from semimatch.cli import main
 from conftest import random_unit, random_weighted
 
@@ -86,6 +87,66 @@ class TestSolveExitCodes:
     def test_backup_requires_r(self, unit_file, capsys):
         code, _, err = run_cli(capsys, "solve", unit_file, "--algo", "backup")
         assert code == 1
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "{f}", "--algo", "nope"),
+        ("solve", "{f}"),
+        ("solve", "{f}", "--algo", "seq", "--seed", "3"),
+        ("frobnicate",),
+        (),
+    ])
+    def test_usage_error_exits_1(self, unit_file, capsys, argv):
+        code, _, err = run_cli(capsys, *[a.format(f=unit_file) for a in argv])
+        assert code == 1
+        assert "usage:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--algo" in capsys.readouterr().out
+
+
+class TestDumpMatchings:
+    @pytest.mark.parametrize("argv", [
+        ("--algo", "congest-weighted"),
+        ("--algo", "local-weighted"),
+        ("--algo", "backup", "--r", "1"),
+        ("--algo", "congest-unweighted", "--simulate"),
+    ])
+    def test_rejected_without_matchings(self, unit_file, tmp_path, capsys, argv):
+        dump_dir = tmp_path / "dumps"
+        code, stdout, err = run_cli(capsys, "solve", unit_file, *argv,
+                                    "--dump-matchings", str(dump_dir))
+        assert code == 1
+        assert stdout == ""
+        assert "--dump-matchings" in json.loads(err)["detail"]
+        assert not dump_dir.exists()
+
+    @pytest.mark.parametrize("algo,solver", [
+        ("seq", "split_assignment_seq"),
+        ("congest-unweighted", "solve_unweighted"),
+    ])
+    def test_solves_once(self, unit_file, tmp_path, capsys, monkeypatch, algo, solver):
+        original = getattr(solvers, solver)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # rebind every reference the package holds, wherever it calls from
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "semimatch" and getattr(mod, solver, None) is original:
+                monkeypatch.setattr(mod, solver, counting)
+        dump_dir = tmp_path / "dumps"
+        code, _, _ = run_cli(capsys, "solve", unit_file, "--algo", algo,
+                             "--dump-matchings", str(dump_dir))
+        assert code == 0
+        assert len(calls) == 1
+        assert sorted(dump_dir.glob("B*.json"))
 
 
 class TestSolveReports:
@@ -258,3 +319,33 @@ class TestBench:
         assert len(rows) == 3
         assert float(rows[1][5]) == 1.0  # star solve is exactly optimal
         assert rows[2][6] != ""  # simulated entry records charged rounds
+
+    @pytest.mark.parametrize("entry,detail", [
+        ({"algo": "nope"}, "unknown algorithm"),
+        ({}, "unknown algorithm"),
+        ({"algo": "seq", "simulate": True}, "nothing to simulate"),
+        ({"algo": "backup"}, "replication factor"),
+        ({"algo": "backup", "simulate": True}, "replication factor"),
+    ])
+    def test_suite_rejects_bad_entry(self, tmp_path, capsys, entry, detail):
+        star = {"generator": "star", "params": {"n_clients": 5}}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([{**star, "algo": "seq"}, {**star, **entry}]))
+        out = tmp_path / "bench.csv"
+        code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 1
+        assert detail in json.loads(err)["detail"]
+        assert not out.exists()
+
+    def test_suite_backup_r_direct_and_simulated(self, tmp_path, capsys):
+        entry = {"generator": "random-bipartite", "seed": 3, "algo": "backup", "r": 2,
+                 "params": {"n_clients": 6, "n_servers": 5, "p": 0.9}}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([entry, {**entry, "simulate": True}]))
+        out = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 0
+        with open(out) as fh:
+            direct, simulated = list(csv.reader(fh))[1:]
+        assert direct[4] == simulated[4]  # same r, same max load
+        assert simulated[6] != ""

@@ -98,13 +98,6 @@ class TestRunSimulation:
         simulated, _ = run_simulation(inst, "congest-weighted", ModelSpec("CONGEST"))
         assert simulated.mapping == direct.mapping
 
-    def test_seed_does_not_change_result(self):
-        inst = random_unit(2, nc=10, ns=4, p=0.5)
-        a, ta = run_simulation(inst, "congest-unweighted", ModelSpec("CONGEST"), seed=0)
-        b, tb = run_simulation(inst, "congest-unweighted", ModelSpec("CONGEST"), seed=99)
-        assert a.mapping == b.mapping
-        assert ta.to_json() == tb.to_json()
-
     def test_model_mismatch(self, chain):
         with pytest.raises(ModelMismatchError):
             run_simulation(chain, "congest-unweighted", ModelSpec("LOCAL"))
