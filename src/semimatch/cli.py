@@ -165,9 +165,7 @@ def _dump_matchings(inst: Instance, per_b: dict[int, CapMatching], directory: st
         doc = {
             "kappa": {str(c): matching.profile.kappa[c] for c in inst.clients},
             "tau": {str(s): matching.profile.tau[s] for s in inst.servers},
-            "edge_cap": matching.profile.edge_cap
-            if isinstance(matching.profile.edge_cap, (int, type(None)))
-            else None,
+            "edge_cap": matching.profile.edge_cap,
             "mult": [[c, s, x] for (c, s), x in sorted(matching.mult.items())],
         }
         with open(os.path.join(directory, f"B{b}.json"), "w", encoding="utf-8") as fh:
@@ -182,7 +180,10 @@ def _dump_matchings(inst: Instance, per_b: dict[int, CapMatching], directory: st
 def _load_matching_artifact(inst: Instance, doc: dict) -> CapMatching:
     kappa = {int(c): v for c, v in doc["kappa"].items()}
     tau = {int(s): v for s, v in doc["tau"].items()}
-    profile = CapacityProfile(kappa, tau, doc.get("edge_cap"))
+    try:
+        profile = CapacityProfile(kappa, tau, doc.get("edge_cap"))
+    except ValueError as exc:
+        raise InstanceError(f"matching artifact: {exc}") from exc
     mult = {(c, s): x for c, s, x in doc["mult"]}
     return CapMatching(inst, profile, mult)
 
@@ -225,14 +226,22 @@ def cmd_verify(args) -> int:
                 if verdict is not True:
                     entry["witness_client"] = verdict.client
             elif name == "budget":
-                model = ModelSpec(model=simulated(doc["algorithm"]).model)
-                expected = round_budget(doc["algorithm"], doc["n"], model,
+                algo = simulated(doc["algorithm"])
+                model = ModelSpec(model=algo.model)
+                expected = round_budget(doc["algorithm"], doc["n"],
                                         n_expanded=doc.get("nExpanded"))
                 trace = SimTrace(doc["algorithm"], doc["n"], doc.get("nExpanded", doc["n"]),
                                  doc["chargedRounds"], doc["phases"], doc["simulatedMessages"])
+                # the trace must be of the instance this algorithm would solve
+                work, _ = algo.prepare(inst)
+                solved = {"n": work.n, "nExpanded": work.total_weight + len(work.servers)}
+                traced = {"n": trace.n, "nExpanded": trace.n_expanded}
                 entry["pass"] = (doc["chargedRounds"] == expected
-                                 and verify_message_budget(trace, model))
+                                 and verify_message_budget(trace, model)
+                                 and traced == solved)
                 entry["expected_rounds"] = expected
+                if traced != solved:
+                    entry["reason"] = f"trace of another instance: {traced}, instance {solved}"
             else:
                 raise ValueError(f"unknown check {name!r}")
         except (KeyError, TypeError) as exc:
@@ -278,6 +287,9 @@ def cmd_bench(args) -> int:
     algos = [by_name(entry.get("algo")) for entry in suite]
     for entry, algo in zip(suite, algos):
         algo.check_request(entry.get("simulate", False), entry.get("r"))
+        if entry.get("generator") not in GENERATORS:
+            raise ValueError(f"unknown generator {entry.get('generator')!r}; "
+                             f"expected one of {GENERATORS}")
     rows = []
     for entry, algo in zip(suite, algos):
         inst = generate_instance(entry["generator"], seed=entry.get("seed", 0),

@@ -128,10 +128,10 @@ class ExpandedInstance:
     instance: Instance
     copy_of: dict[int, tuple[int, int]]  # expanded client -> (base client, copy idx)
     server_map: dict[int, int]  # base server -> expanded server id
+    server_unmap: dict[int, int] = field(init=False, repr=False)  # the inverse
 
-    @property
-    def server_unmap(self) -> dict[int, int]:
-        return {v: k for k, v in self.server_map.items()}
+    def __post_init__(self) -> None:
+        self.server_unmap = {v: k for k, v in self.server_map.items()}
 
 
 def build_instance(
@@ -186,7 +186,8 @@ def weight_classes(inst: Instance) -> list[WeightClassView]:
     views = []
     for i in sorted(by_class):
         cs = tuple(sorted(by_class[i]))
-        es = tuple(e for e in inst.edges if e[0] in set(cs))
+        members = set(cs)
+        es = tuple(e for e in inst.edges if e[0] in members)
         srv = tuple(sorted({s for _, s in es}))
         views.append(WeightClassView(i, cs, srv, es))
     return views

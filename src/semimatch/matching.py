@@ -1,21 +1,29 @@
 """Capacitated bipartite matchings and the augmenting-path engine.
 
 A matching assigns an integer multiplicity to each edge subject to client
-capacities kappa, server capacities tau, and optional per-edge caps.  The
-engine works on the residual orientation (forward on remaining edge capacity,
-backward on positive multiplicity) and offers two entry points:
+capacities kappa, server capacities tau, and an optional uniform edge cap.
+The engine works on the residual orientation: client -> server while the edge
+has capacity left, server -> client while the edge has positive multiplicity.
 
-* ``eliminate_short_paths``: layered shortest-augmentation phases until no
-  augmenting path of length <= k remains.
-* ``blocking_flow_matching``: a fixed number of blocking-flow phases over the
-  source/sink flow network.
+It is built from two pieces:
 
-Both are deterministic: neighbors are always scanned in ascending id order.
+* ``_bfs``, the one layered breadth-first search.  Started from a given set of
+  clients, it labels residual vertices by distance and stops once the layer
+  holding the nearest unsaturated server is complete (or at a length limit).
+* ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Each
+  phase layers the residual graph from every unsaturated client and saturates
+  the layered graph of the current shortest augmenting-path length with an
+  iterative current-arc DFS, so that length strictly increases per phase.
+
+The entry points are thin: ``eliminate_short_paths`` runs phases until no
+augmenting path of length <= k remains, ``blocking_flow_matching`` runs a
+fixed number of phases, and ``find_augmenting_path`` and
+``residual_source_sink_distance`` read one search.  Everything is
+deterministic: neighbors are always scanned in ascending id order.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -28,14 +36,14 @@ _INF = float("inf")
 class CapacityProfile:
     """Client/server/edge capacities for a capacitated matching.
 
-    ``edge_cap`` is None for unbounded multiplicities, an int for a uniform
-    cap (1 gives simple degree-constrained subgraphs, as used for backup
-    placement), or an explicit edge -> cap map.
+    ``edge_cap`` caps the multiplicity of every edge: None for unbounded, or
+    a positive int (1 gives simple degree-constrained subgraphs, as used for
+    backup placement).
     """
 
     kappa: dict[int, int]
     tau: dict[int, int]
-    edge_cap: int | dict[tuple[int, int], int] | None = None
+    edge_cap: int | None = None
 
     def __post_init__(self) -> None:
         for c, k in self.kappa.items():
@@ -44,13 +52,13 @@ class CapacityProfile:
         for s, t in self.tau.items():
             if t < 0:
                 raise ValueError(f"tau({s}) must be >= 0, got {t}")
+        cap = self.edge_cap
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise ValueError(f"edge_cap must be None or a positive int, got {cap!r}")
 
-    def cap(self, edge: tuple[int, int]):
-        if self.edge_cap is None:
-            return _INF
-        if isinstance(self.edge_cap, int):
-            return self.edge_cap
-        return self.edge_cap.get(edge, _INF)
+    def cap(self):
+        """The multiplicity cap of every edge (inf when unbounded)."""
+        return _INF if self.edge_cap is None else self.edge_cap
 
     @staticmethod
     def uniform(inst: Instance, kappa: int, tau: int, edge_cap=None) -> "CapacityProfile":
@@ -107,9 +115,10 @@ class CapMatching:
         for s, d in self.server_deg.items():
             if d > self.profile.tau[s]:
                 raise ValueError(f"server {s} over capacity: {d} > {self.profile.tau[s]}")
+        cap = self.profile.cap()
         for e, x in self.mult.items():
-            if x > self.profile.cap(e):
-                raise ValueError(f"edge {e} over capacity: {x} > {self.profile.cap(e)}")
+            if x > cap:
+                raise ValueError(f"edge {e} over capacity: {x} > {cap}")
 
 
 @dataclass
@@ -128,9 +137,54 @@ def is_client_perfect(inst: Instance, matching: CapMatching) -> bool:
     return all(matching.client_deg[c] == matching.profile.kappa[c] for c in inst.clients)
 
 
-def _usable_server(matching: CapMatching, s: int) -> bool:
-    # tau(s) = 0 servers are excluded from residual graphs entirely
-    return matching.profile.tau[s] > 0
+def _free_clients(inst: Instance, matching: CapMatching) -> list[int]:
+    kappa, deg = matching.profile.kappa, matching.client_deg
+    return [c for c in inst.clients if deg[c] < kappa[c]]
+
+
+def _bfs(inst: Instance, matching: CapMatching, roots: list[int], max_len: float = _INF):
+    """Layer the residual graph from ``roots`` (unsaturated clients).
+
+    Returns (level, parent, end): the distance and BFS parent of every
+    labelled vertex, and the first unsaturated server found (None if there is
+    none within ``max_len`` edges).  Vertices at distance >= max_len are not
+    expanded; once ``end`` is found, neither is its layer, so the labels stop
+    at the shortest augmenting-path length, Hopcroft-Karp style.  Clients sit
+    at even distances and servers at odd ones; servers with tau = 0 are left
+    out of the residual graph.
+    """
+    mult, cap = matching.mult, matching.profile.cap()
+    tau, server_deg = matching.profile.tau, matching.server_deg
+    client_adj, server_adj = inst.client_adj, inst.server_adj
+    level = {c: 0 for c in roots}
+    parent: dict[int, int | None] = {c: None for c in roots}
+    end = None
+    stop = max_len
+    queue = deque(roots)
+    while queue:
+        v = queue.popleft()
+        d = level[v]
+        if d >= stop:
+            continue
+        if d & 1 == 0:  # client: forward over residual edge capacity
+            for s in client_adj[v]:
+                if s in level or tau[s] == 0 or mult.get((v, s), 0) >= cap:
+                    continue
+                level[s] = d + 1
+                parent[s] = v
+                if server_deg[s] < tau[s]:
+                    if end is None:
+                        end, stop = s, d + 1
+                else:
+                    queue.append(s)
+        else:  # server: backward over matched multiplicity
+            for c in server_adj[v]:
+                if c in level or (c, v) not in mult:
+                    continue
+                level[c] = d + 1
+                parent[c] = v
+                queue.append(c)
+    return level, parent, end
 
 
 def find_augmenting_path(
@@ -141,195 +195,108 @@ def find_augmenting_path(
 ) -> AugPath | None:
     """Shortest augmenting path of length <= max_len, or None.
 
-    Layered BFS over the residual orientation: client -> server on remaining
-    edge capacity, server -> client on positive multiplicity.  With no
-    ``start_client`` the search starts from every unsaturated client at once.
+    With no ``start_client`` the search starts from every unsaturated client
+    at once.
     """
     if max_len < 1 or max_len % 2 == 0:
         raise ValueError("max_len must be odd and >= 1")
-    prof = matching.profile
-    if start_client is not None:
-        roots = [start_client] if not matching.client_saturated(start_client) else []
+    if start_client is None:
+        roots = _free_clients(inst, matching)
     else:
-        roots = [c for c in inst.clients if not matching.client_saturated(c)]
-    parent: dict[int, int | None] = {c: None for c in roots}
-    queue = deque(roots)
-    depth = {c: 0 for c in roots}
-    while queue:
-        v = queue.popleft()
-        d = depth[v]
-        if d >= max_len:
-            continue
-        if v in inst.client_adj:  # client: forward over residual edge capacity
-            for s in inst.client_adj[v]:
-                if s in parent or not _usable_server(matching, s):
-                    continue
-                if matching.mult.get((v, s), 0) >= prof.cap((v, s)):
-                    continue
-                parent[s] = v
-                depth[s] = d + 1
-                if not matching.server_saturated(s):
-                    path = [s]
-                    u: int | None = v
-                    while u is not None:
-                        path.append(u)
-                        u = parent[u]
-                    path.reverse()
-                    return AugPath(path)
-                queue.append(s)
-        else:  # server: backward over matched multiplicity
-            for c in inst.server_adj[v]:
-                if c in parent or matching.mult.get((c, v), 0) == 0:
-                    continue
-                parent[c] = v
-                depth[c] = d + 1
-                queue.append(c)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Layered phases (shared by eliminate_short_paths and blocking flow)
-# ---------------------------------------------------------------------------
-
-
-def _bfs_layers(inst: Instance, matching: CapMatching) -> tuple[dict[int, int], int | None]:
-    """Layer the residual graph from all unsaturated clients.
-
-    Returns (levels, shortest augmenting path length in edges or None).
-    Layering stops once the first layer containing an unsaturated server is
-    complete, Hopcroft-Karp style.
-    """
-    prof = matching.profile
-    level: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for c in inst.clients:
-        if not matching.client_saturated(c):
-            level[c] = 0
-            queue.append(c)
-    found: int | None = None
-    while queue:
-        v = queue.popleft()
-        d = level[v]
-        if found is not None and d >= found:
-            continue
-        if v in inst.client_adj:
-            for s in inst.client_adj[v]:
-                if s in level or not _usable_server(matching, s):
-                    continue
-                if matching.mult.get((v, s), 0) >= prof.cap((v, s)):
-                    continue
-                level[s] = d + 1
-                if not matching.server_saturated(s):
-                    found = d + 1
-                else:
-                    queue.append(s)
-        else:
-            for c in inst.server_adj[v]:
-                if c in level or matching.mult.get((c, v), 0) == 0:
-                    continue
-                level[c] = d + 1
-                queue.append(c)
-    return level, found
+        roots = [] if matching.client_saturated(start_client) else [start_client]
+    _, parent, end = _bfs(inst, matching, roots, max_len)
+    if end is None:
+        return None
+    path = [end]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return AugPath(path)
 
 
 def _blocking_phase(inst: Instance, matching: CapMatching, level: dict[int, int],
-                    target_len: int) -> int:
+                    target_len: int) -> None:
     """Saturate the level graph: push flow along level-increasing residual
-    paths of exactly ``target_len`` edges until none remain.  Returns units
-    pushed."""
-    prof = matching.profile
-    # current-arc pointers; adjacency is id-sorted already
+    paths of exactly ``target_len`` edges until none remain.
+
+    Iterative current-arc DFS: ``ptr[v]`` is the next arc of v to try; it
+    stays on an arc that carried flow and moves past an arc that led to a
+    dead end.  ``path[i]`` sits at level i, so even positions are clients.
+    """
+    mult, cap = matching.mult, matching.profile.cap()
+    kappa, tau = matching.profile.kappa, matching.profile.tau
+    client_deg, server_deg = matching.client_deg, matching.server_deg
+    client_adj, server_adj = inst.client_adj, inst.server_adj
     ptr: dict[int, int] = {}
-    pushed_total = 0
-
-    def dfs(v: int, limit) -> int:
-        if v not in inst.client_adj and level[v] == target_len and not matching.server_saturated(v):
-            room = prof.tau[v] - matching.server_deg[v]
-            return int(min(limit, room))
-        adj = inst.client_adj[v] if v in inst.client_adj else inst.server_adj[v]
-        i = ptr.get(v, 0)
-        while i < len(adj):
-            u = adj[i]
-            if level.get(u, -1) == level[v] + 1:
-                if v in inst.client_adj:
-                    residual = prof.cap((v, u)) - matching.mult.get((v, u), 0)
-                    if residual > 0 and _usable_server(matching, u):
-                        got = dfs(u, min(limit, residual))
-                        if got > 0:
-                            matching.add(v, u, got)
-                            ptr[v] = i
-                            return got
-                else:
-                    x = matching.mult.get((u, v), 0)
-                    if x > 0:
-                        got = dfs(u, min(limit, x))
-                        if got > 0:
-                            matching.add(u, v, -got)
-                            ptr[v] = i
-                            return got
-            i += 1
-            ptr[v] = i
-        return 0
-
     for c in inst.clients:
-        while not matching.client_saturated(c) and level.get(c) == 0:
-            slack = prof.kappa[c] - matching.client_deg[c]
-            got = dfs(c, slack)
+        while client_deg[c] < kappa[c] and level.get(c) == 0:
+            path, limits = [c], [kappa[c] - client_deg[c]]
+            got = 0
+            while path:
+                d = len(path) - 1
+                v = path[-1]
+                if d == target_len:  # a server; end of the path if it has room
+                    room = tau[v] - server_deg[v]
+                    if room > 0:
+                        got = min(limits[-1], room)
+                        break
+                else:
+                    client = d & 1 == 0
+                    adj = client_adj[v] if client else server_adj[v]
+                    i = ptr.get(v, 0)
+                    while i < len(adj):
+                        u = adj[i]
+                        if level.get(u) == d + 1:
+                            if client:
+                                residual = cap - mult.get((v, u), 0)
+                            else:
+                                residual = mult.get((u, v), 0)
+                            if residual > 0:
+                                break
+                        i += 1
+                    ptr[v] = i
+                    if i < len(adj):
+                        path.append(u)
+                        limits.append(min(limits[-1], residual))
+                        continue
+                # dead end: retreat and move the parent past this arc
+                path.pop()
+                limits.pop()
+                if path:
+                    ptr[path[-1]] += 1
             if got == 0:
                 break
-            pushed_total += got
-    return pushed_total
+            for i in range(len(path) - 2, -1, -1):  # deepest arc first
+                if i & 1:
+                    matching.add(path[i + 1], path[i], -got)
+                else:
+                    matching.add(path[i], path[i + 1], got)
 
 
-def _write_debug_row(writer, phase: int, level: dict[int, int], shortest, pushed: int) -> None:
-    layers = max(level.values()) + 1 if level else 0
-    writer.writerow([phase, layers, shortest if shortest is not None else "", pushed])
+def _phases(inst: Instance, profile: CapacityProfile, max_phases: float,
+            max_len: float) -> CapMatching:
+    """Run up to ``max_phases`` shortest-augmentation phases from the empty
+    matching, stopping once no augmenting path of length <= max_len is
+    left."""
+    matching = CapMatching(inst, profile)
+    phase = 0
+    while phase < max_phases:
+        level, _, end = _bfs(inst, matching, _free_clients(inst, matching), max_len)
+        if end is None:
+            break
+        _blocking_phase(inst, matching, level, level[end])
+        phase += 1
+    return matching
 
 
-def eliminate_short_paths(
-    inst: Instance,
-    profile: CapacityProfile,
-    k: int,
-    debug_csv=None,
-) -> CapMatching:
-    """Compute a matching with no augmenting path of length <= k.
-
-    Runs shortest-augmentation phases; each phase saturates the level graph of
-    the current shortest augmenting-path length, so that length strictly
-    increases per phase.
-    """
+def eliminate_short_paths(inst: Instance, profile: CapacityProfile, k: int) -> CapMatching:
+    """Compute a matching with no augmenting path of length <= k."""
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and >= 1")
-    matching = CapMatching(inst, profile)
-    writer = None
-    fh = None
-    if debug_csv is not None:
-        fh = open(debug_csv, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "layers", "shortest_aug_len", "pushed"])
-    phase = 0
-    try:
-        while True:
-            level, shortest = _bfs_layers(inst, matching)
-            if shortest is None or shortest > k:
-                if writer:
-                    _write_debug_row(writer, phase, level, shortest, 0)
-                return matching
-            pushed = _blocking_phase(inst, matching, level, shortest)
-            phase += 1
-            if writer:
-                _write_debug_row(writer, phase, level, shortest, pushed)
-    finally:
-        if fh:
-            fh.close()
+    return _phases(inst, profile, _INF, k)
 
 
-def blocking_flow_matching(
-    inst: Instance,
-    profile: CapacityProfile,
-    phases: int,
-    debug_csv=None,
-) -> CapMatching:
+def blocking_flow_matching(inst: Instance, profile: CapacityProfile, phases: int) -> CapMatching:
     """Run ``phases`` blocking-flow phases on the dummy-source/dummy-sink
     network (source -> clients with capacity kappa, servers -> sink with
     capacity tau).
@@ -341,28 +308,10 @@ def blocking_flow_matching(
     """
     if phases < 1:
         raise ValueError("phases must be >= 1")
-    matching = CapMatching(inst, profile)
-    writer = None
-    fh = None
-    if debug_csv is not None:
-        fh = open(debug_csv, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "layers", "shortest_aug_len", "pushed"])
-    try:
-        for p in range(phases):
-            level, shortest = _bfs_layers(inst, matching)
-            if shortest is None:
-                break
-            pushed = _blocking_phase(inst, matching, level, shortest)
-            if writer:
-                _write_debug_row(writer, p + 1, level, shortest, pushed)
-        return matching
-    finally:
-        if fh:
-            fh.close()
+    return _phases(inst, profile, phases, _INF)
 
 
 def residual_source_sink_distance(inst: Instance, matching: CapMatching) -> float:
     """Residual distance from dummy source to dummy sink (inf if no path)."""
-    _, shortest = _bfs_layers(inst, matching)
-    return _INF if shortest is None else shortest + 2
+    level, _, end = _bfs(inst, matching, _free_clients(inst, matching))
+    return _INF if end is None else level[end] + 2

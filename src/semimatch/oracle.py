@@ -317,7 +317,7 @@ def _short_aug_path(inst, profile, matching, sdeg, c, k) -> AugPath | None:
             for s in inst.client_adj[v]:
                 if s in parent or profile.tau[s] == 0:
                     continue
-                if matching.mult.get((v, s), 0) >= profile.cap((v, s)):
+                if matching.mult.get((v, s), 0) >= profile.cap():
                     continue
                 parent[s] = v
                 depth[s] = depth[v] + 1

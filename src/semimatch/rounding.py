@@ -22,13 +22,14 @@ class SplitAssignment:
 
     def __post_init__(self) -> None:
         deg = {c: 0 for c in self.inst.clients}
+        edges = set(self.inst.edges)
         for (c, s), x in list(self.mult.items()):
             if x < 0:
                 raise ValueError(f"negative multiplicity on edge ({c}, {s})")
             if x == 0:
                 del self.mult[(c, s)]
                 continue
-            if s not in set(self.inst.client_adj[c]):
+            if (c, s) not in edges:
                 raise ValueError(f"edge ({c}, {s}) not in instance")
             deg[c] += x
         for c, d in deg.items():

@@ -209,7 +209,7 @@ def simulated(algorithm: str) -> Algorithm:
     return _SIMULATED[algorithm]
 
 
-def round_budget(algorithm: str, n: int, model: ModelSpec, n_expanded: int | None = None) -> int:
+def round_budget(algorithm: str, n: int, n_expanded: int | None = None) -> int:
     """Closed-form round budget with explicit constants.
 
     ``n_expanded`` is the client-expanded vertex count, needed only for

@@ -325,7 +325,7 @@ def test_criterion_10_round_accounting(capsys):
                          lambda i: solve_backup(i, 2)))
         for inst, algo, model, direct in runs:
             result, trace = run_simulation(inst, algo, model, r=2)
-            expected = round_budget(algo, inst.n, model, n_expanded=trace.n_expanded)
+            expected = round_budget(algo, inst.n, n_expanded=trace.n_expanded)
             assert trace.charged_rounds == expected, algo
             assert verify_message_budget(trace, model), algo
             assert result.mapping == direct(inst).mapping, algo

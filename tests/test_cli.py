@@ -256,7 +256,43 @@ class TestVerify:
         code, stdout, _ = run_cli(capsys, "verify", unit_file, str(trace_path),
                                   "--check", "budget")
         assert code == 0
-        assert json.loads(stdout)["checks"][0]["pass"] is True
+        entry = json.loads(stdout)["checks"][0]
+        assert entry["pass"] is True
+        assert "reason" not in entry
+
+    def test_budget_check_rejects_trace_of_another_instance(self, tmp_path, capsys):
+        big, small = tmp_path / "big.json", tmp_path / "small.json"
+        write_instance(random_unit(1, nc=200, ns=50, p=0.05), big)
+        write_instance(random_unit(1, nc=20, ns=5, p=0.5), small)
+        trace_path = tmp_path / "trace.json"
+        run_cli(capsys, "solve", str(big), "--algo", "congest-unweighted",
+                "--simulate", "--trace-out", str(trace_path))
+        code, stdout, _ = run_cli(capsys, "verify", str(small), str(trace_path),
+                                  "--check", "budget")
+        assert code == 1
+        entry = json.loads(stdout)["checks"][0]
+        assert entry["pass"] is False
+        assert "another instance" in entry["reason"]
+        code, _, _ = run_cli(capsys, "verify", str(big), str(trace_path), "--check", "budget")
+        assert code == 0
+
+    @pytest.mark.parametrize("edge_cap", [{"0,4": 1}, True, 0, 1.5])
+    def test_matching_artifact_rejects_bad_edge_cap(self, unit_file, tmp_path, capsys,
+                                                    edge_cap):
+        dump_dir = tmp_path / "dumps"
+        run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                "--dump-matchings", str(dump_dir))
+        artifact = dump_dir / "B1.json"
+        doc = json.loads(artifact.read_text())
+        assert doc["edge_cap"] is None
+        for cap, expected in ((1, 0), (edge_cap, 1)):
+            artifact.write_text(json.dumps({**doc, "edge_cap": cap}))
+            code, _, err = run_cli(capsys, "verify", unit_file, str(artifact),
+                                   "--check", "no-short-aug-paths:17")
+            assert code == expected
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert "edge_cap" in error["detail"]
 
     def test_cost_reducing_check(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -335,6 +371,17 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
         assert code == 1
         assert detail in json.loads(err)["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [{"algo": "seq"}, {"algo": "seq", "generator": "nope"}])
+    def test_suite_rejects_missing_or_unknown_generator(self, tmp_path, capsys, entry):
+        star = {"generator": "star", "params": {"n_clients": 5}, "algo": "seq"}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([star, entry]))
+        out = tmp_path / "bench.csv"
+        code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 1
+        assert "unknown generator" in json.loads(err)["detail"]
         assert not out.exists()
 
     def test_suite_backup_r_direct_and_simulated(self, tmp_path, capsys):

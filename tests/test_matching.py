@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semimatch import (
     CapacityProfile,
@@ -12,9 +14,11 @@ from semimatch import (
     find_augmenting_path,
     generate_instance,
     is_client_perfect,
+    solve_sequential,
 )
 from semimatch.matching import residual_source_sink_distance
 from semimatch.oracle import (
+    _flow_value,
     client_perfect_matching_exists,
     verify_expansion_lemma,
     verify_no_short_aug_paths,
@@ -36,7 +40,7 @@ def enumerate_aug_paths(inst, matching, max_len):
             for s in inst.client_adj[v]:
                 if s in path or prof.tau[s] == 0:
                     continue
-                if matching.mult.get((v, s), 0) >= prof.cap((v, s)):
+                if matching.mult.get((v, s), 0) >= prof.cap():
                     continue
                 if not matching.server_saturated(s):
                     found.append(path + [s])
@@ -224,9 +228,70 @@ class TestExpansionLemmaVerifier:
             verify_expansion_lemma(inst, kappa, tau, 2, CapMatching(inst, prof))
 
 
-def test_debug_csv_dump(tmp_path, chain):
-    out = tmp_path / "layers.csv"
-    eliminate_short_paths(chain, CapacityProfile.uniform(chain, 1, 1), 3, debug_csv=out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "phase,layers,shortest_aug_len,pushed"
-    assert len(lines) >= 2
+class TestCapacityProfile:
+    @pytest.mark.parametrize("edge_cap", [{(0, 1): 1}, True, 0, 1.0])
+    def test_rejects_edge_cap_other_than_none_or_positive_int(self, edge_cap):
+        with pytest.raises(ValueError, match="edge_cap"):
+            CapacityProfile({0: 1}, {1: 1}, edge_cap)
+
+
+def staircase(n_clients=901):
+    """Client i on servers i and i + 1, the last client only on server 0,
+    every weight 2.  The last client's augmenting path runs through every
+    other client: far deeper than the interpreter's recursion limit."""
+    first = n_clients  # server 0
+    edges = [(i, first + i + j) for i in range(n_clients - 1) for j in (0, 1)]
+    edges.append((n_clients - 1, first))
+    return build_instance(range(n_clients), range(first, first + n_clients + 1), edges,
+                          {c: 2 for c in range(n_clients)})
+
+
+class TestStaircase:
+    def test_solve_sequential(self):
+        inst = staircase()
+        assert solve_sequential(inst).mapping[900] == 901
+
+    def test_unit_blocking_flow(self):
+        inst = staircase()
+        x = blocking_flow_matching(inst, CapacityProfile.uniform(inst, 1, 1), 3)
+        assert is_client_perfect(inst, x)
+
+    def test_unit_eliminate_short_paths(self):
+        inst = staircase()
+        x = eliminate_short_paths(inst, CapacityProfile.uniform(inst, 1, 1), 2001)
+        assert is_client_perfect(inst, x)
+
+
+@st.composite
+def small_profiles(draw):
+    """A small instance (isolated vertices allowed) and a capacity profile
+    on it, zero server capacities included."""
+    nc, ns = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    pairs = st.tuples(st.integers(0, nc - 1), st.integers(nc, nc + ns - 1))
+    edges = draw(st.lists(pairs, unique=True, max_size=nc * ns))
+    inst = build_instance(range(nc), range(nc, nc + ns), edges)
+    kappa = {c: draw(st.integers(1, 3)) for c in inst.clients}
+    tau = {s: draw(st.integers(0, 4)) for s in inst.servers}
+    return inst, CapacityProfile(kappa, tau, draw(st.sampled_from([None, 1, 2])))
+
+
+class TestEngineProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(small_profiles(), st.sampled_from([1, 3, 5, 7, 9]))
+    def test_eliminate_leaves_no_short_path(self, case, k):
+        inst, prof = case
+        x = eliminate_short_paths(inst, prof, k)
+        x.check_feasible()
+        assert verify_no_short_aug_paths(inst, prof, x, k) is True
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_profiles())
+    def test_blocking_flow_reaches_max_flow(self, case):
+        inst, prof = case
+        # each phase lengthens the shortest augmenting path, which visits
+        # every server at most once
+        x = blocking_flow_matching(inst, prof, len(inst.servers) + 1)
+        x.check_feasible()
+        flow = _flow_value(inst, prof.kappa, prof.tau, prof.edge_cap)
+        assert sum(x.client_deg.values()) == flow
+        assert residual_source_sink_distance(inst, x) == math.inf

@@ -40,16 +40,15 @@ class TestModelSpec:
 class TestRoundBudget:
     def test_congest_formula(self):
         # n = 16: logn = 4, k = 17, per matching 17^3 * 4, schedule has 5 budgets
-        assert round_budget("congest-unweighted", 16, ModelSpec()) == 5 * 17**3 * 4
+        assert round_budget("congest-unweighted", 16) == 5 * 17**3 * 4
 
     def test_local_formula(self):
         # base n = 16, expanded 32: k(32)^2 * 5 + k(16)^2 * 4
-        spec = ModelSpec("LOCAL")
-        assert round_budget("local-weighted", 16, spec, n_expanded=32) == 21**2 * 5 + 17**2 * 4
+        assert round_budget("local-weighted", 16, n_expanded=32) == 21**2 * 5 + 17**2 * 4
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            round_budget("nope", 8, ModelSpec())
+            round_budget("nope", 8)
 
 
 class TestRunSimulation:
@@ -58,7 +57,7 @@ class TestRunSimulation:
         inst = random_unit(seed, nc=10, ns=6, p=0.5)
         model = ModelSpec("CONGEST")
         result, trace = run_simulation(inst, "congest-unweighted", model)
-        assert trace.charged_rounds == round_budget("congest-unweighted", inst.n, model)
+        assert trace.charged_rounds == round_budget("congest-unweighted", inst.n)
         assert verify_message_budget(trace, model)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -66,7 +65,7 @@ class TestRunSimulation:
         inst = random_weighted(seed, nc=8, ns=4, max_weight=8)
         model = ModelSpec("CONGEST")
         result, trace = run_simulation(inst, "congest-weighted", model)
-        assert trace.charged_rounds == round_budget("congest-weighted", inst.n, model)
+        assert trace.charged_rounds == round_budget("congest-weighted", inst.n)
         # parallel classes: still only one schedule's worth of matching phases
         matching_phases = [p for p in trace.phases if p["rounds"] > 0]
         assert len(matching_phases) == max(1, math.ceil(math.log2(inst.n))) + 1
@@ -76,14 +75,14 @@ class TestRunSimulation:
         inst = random_weighted(seed, nc=8, ns=4, max_weight=8)
         model = ModelSpec("LOCAL")
         result, trace = run_simulation(inst, "local-weighted", model)
-        expected = round_budget("local-weighted", inst.n, model, n_expanded=trace.n_expanded)
+        expected = round_budget("local-weighted", inst.n, n_expanded=trace.n_expanded)
         assert trace.charged_rounds == expected
 
     def test_congest_backup(self):
         inst = random_unit(3, nc=6, ns=5, p=0.9)
         model = ModelSpec("CONGEST")
         result, trace = run_simulation(inst, "congest-backup", model, r=2)
-        assert trace.charged_rounds == round_budget("congest-backup", inst.n, model)
+        assert trace.charged_rounds == round_budget("congest-backup", inst.n)
         assert len(trace.messages) == 2 * len(inst.clients)
 
     def test_result_identical_to_direct_solver(self):
