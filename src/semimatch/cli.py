@@ -184,7 +184,18 @@ def _load_matching_artifact(inst: Instance, doc: dict) -> CapMatching:
         profile = CapacityProfile(kappa, tau, doc.get("edge_cap"))
     except ValueError as exc:
         raise InstanceError(f"matching artifact: {exc}") from exc
-    mult = {(c, s): x for c, s, x in doc["mult"]}
+    edges = set(inst.edges)
+    mult: dict[tuple[int, int], int] = {}
+    for i, entry in enumerate(doc["mult"]):
+        if (not isinstance(entry, list) or len(entry) != 3
+                or any(type(v) is not int for v in entry) or entry[2] < 1
+                or (entry[0], entry[1]) not in edges):
+            raise InstanceError(f"matching artifact: mult[{i}] must be [client, server, "
+                                f"positive int] on an instance edge, got {entry!r}")
+        c, s, x = entry
+        if (c, s) in mult:
+            raise InstanceError(f"matching artifact: mult[{i}] repeats edge ({c}, {s})")
+        mult[(c, s)] = x
     return CapMatching(inst, profile, mult)
 
 
@@ -279,6 +290,8 @@ def cmd_bench(args) -> int:
     if args.suite:
         with open(args.suite, encoding="utf-8") as fh:
             suite = json.load(fh)
+        if not isinstance(suite, list) or not all(isinstance(e, dict) for e in suite):
+            raise ValueError("suite must be a JSON list of objects")
     elif args.doubling:
         lo, hi = args.doubling
         suite = _doubling_suite(lo, hi, args.seed)

@@ -344,14 +344,21 @@ def read_instance(path) -> Instance:
     unknown = set(doc) - _ALLOWED_KEYS
     if unknown:
         raise InstanceError(f"{path}: unknown field {sorted(unknown)[0]!r}")
-    for key in _ALLOWED_KEYS:
+    for key in ("clients", "servers", "edges"):
         if key not in doc:
             raise InstanceError(f"{path}: missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise InstanceError(f"{path}: {key!r} must be a list")
+    if not doc["clients"]:
+        raise InstanceError(f"{path}: 'clients' must not be empty")
+    # type() rather than isinstance(): JSON true is a bool, and a bool is an int
     clients, weights = [], {}
     for i, entry in enumerate(doc["clients"]):
         if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
             raise InstanceError(f"{path}: clients[{i}] must have 'id' and 'weight'")
-        if not isinstance(entry["weight"], int) or entry["weight"] <= 0:
+        if type(entry["id"]) is not int:
+            raise InstanceError(f"{path}: clients[{i}].id must be an integer")
+        if type(entry["weight"]) is not int or entry["weight"] <= 0:
             raise InstanceError(f"{path}: clients[{i}].weight must be a positive integer")
         clients.append(entry["id"])
         weights[entry["id"]] = entry["weight"]
@@ -359,11 +366,15 @@ def read_instance(path) -> Instance:
     for i, entry in enumerate(doc["servers"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise InstanceError(f"{path}: servers[{i}] must have 'id'")
+        if type(entry["id"]) is not int:
+            raise InstanceError(f"{path}: servers[{i}].id must be an integer")
         servers.append(entry["id"])
     edges = []
     for i, e in enumerate(doc["edges"]):
-        if not isinstance(e, list) or len(e) != 2:
-            raise InstanceError(f"{path}: edges[{i}] must be a [client, server] pair")
+        if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
+            raise InstanceError(
+                f"{path}: edges[{i}] must be a [client, server] pair of integer ids"
+            )
         edges.append((e[0], e[1]))
     try:
         return build_instance(clients, servers, edges, weights)

@@ -1,8 +1,10 @@
 """Rounding split assignments into integral ones.
 
-Two steps: cancel cycles in the support of a capacitated matching (degree
-preserving, leaves a forest), then round the forest into a collection of
-server-centered stars, assigning each client wholly to one support server.
+Two steps.  cancel_cycles removes every cycle from the support of a
+capacitated matching in one depth-first walk, cancelling each cycle where it
+closes; every vertex degree is preserved and the support becomes a forest.
+star_round then rounds the forest into server-centered stars, assigning each
+client wholly to one support server.
 """
 
 from __future__ import annotations
@@ -54,83 +56,71 @@ def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
     return deg
 
 
-def _find_support_cycle(mult: dict[tuple[int, int], int]) -> list[tuple[int, int]] | None:
-    """One cycle in the support (as an edge list), or None if it is a forest.
-
-    Iterative DFS over the undirected support; parallel multiplicities on a
-    single edge do not count as a cycle.
-    """
-    adj: dict[int, list[int]] = {}
-    for (c, s), x in mult.items():
-        if x > 0:
-            adj.setdefault(c, []).append(s)
-            adj.setdefault(s, []).append(c)
-    for vs in adj.values():
-        vs.sort()
-    seen: set[int] = set()
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        parent: dict[int, int | None] = {root: None}
-        stack = [root]
-        seen.add(root)
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u == parent[v]:
-                    continue
-                if u in parent:
-                    # cycle: path v..root-ward meets u..root-ward
-                    pv = _path_to_root(parent, v)
-                    pu = _path_to_root(parent, u)
-                    common = set(pv) & set(pu)
-                    # trim both paths at the lowest common ancestor
-                    lca = next(x for x in pv if x in common)
-                    cyc_vertices = (
-                        pv[: pv.index(lca) + 1] + list(reversed(pu[: pu.index(lca)])) + [v]
-                    )
-                    # cyc_vertices: v .. lca .. u, close with edge (u, v);
-                    # endpoints are unordered, cancel_cycles orients them
-                    return list(zip(cyc_vertices, cyc_vertices[1:]))
-                parent[u] = v
-                seen.add(u)
-                stack.append(u)
-    return None
-
-
-def _path_to_root(parent: dict[int, int | None], v: int) -> list[int]:
-    path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _orient(inst: Instance, a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a in inst.client_adj else (b, a)
-
-
 def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """Remove all support cycles by alternating +/- updates, preserving every
-    vertex degree.  The alternation containing the lexicographically smallest
-    edge of each cycle is the increased one; DFS restarts after each
-    cancellation."""
+    vertex degree; returns a new dict and leaves ``mult`` unchanged.
+
+    One iterative DFS over the support, roots and neighbours in ascending id.
+    The DFS path is a tree path, so a live edge from the top vertex to a vertex
+    u on the path closes the cycle path[pos(u):] + (top, u).  The alternation
+    holding the cycle's lexicographically smallest edge goes up by delta, the
+    other down by delta (its minimum), and edges at zero leave the support.
+    The path is then cut just above the first tree edge that reached zero; the
+    vertices cut off are unvisited again and rescanned from their first
+    neighbour when the DFS reaches them anew.
+    """
     mult = {e: x for e, x in mult.items() if x > 0}
-    while True:
-        cycle = _find_support_cycle(mult)
-        if cycle is None:
-            return mult
-        edges = [_orient(inst, a, b) for a, b in cycle]
-        # bipartite cycles have even length; split into the two alternations
-        smallest = min(range(len(edges)), key=lambda i: edges[i])
-        inc = [edges[i] for i in range(len(edges)) if i % 2 == smallest % 2]
-        dec = [edges[i] for i in range(len(edges)) if i % 2 != smallest % 2]
-        delta = min(mult[e] for e in dec)
-        for e in inc:
-            mult[e] = mult.get(e, 0) + delta
-        for e in dec:
-            mult[e] -= delta
-            if mult[e] == 0:
-                del mult[e]
+    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for e in mult:
+        c, s = e
+        adj.setdefault(c, []).append((s, e))
+        adj.setdefault(s, []).append((c, e))
+    for vs in adj.values():
+        vs.sort()
+    # Invariant: outside its finished subtree, a finished vertex's only live
+    # edge is the tree edge to its parent.  Cycles only change edges of the
+    # path, so a finished subtree is a pendant tree for good and is skipped.
+    done: set[int] = set()
+    for root in sorted(adj):
+        if root in done:
+            continue
+        path = [root]
+        tree: list[tuple[int, int] | None] = [None]  # tree[k] joins path[k - 1], path[k]
+        pos = {root: 0}
+        scan = {root: 0}
+        while path:
+            v = path[-1]
+            if scan[v] == len(adj[v]):
+                done.add(v)
+                del pos[v]
+                path.pop()
+                tree.pop()
+                continue
+            u, e = adj[v][scan[v]]
+            scan[v] += 1
+            if e not in mult or u in done or e == tree[-1]:
+                continue
+            if u not in pos:
+                pos[u], scan[u] = len(path), 0
+                path.append(u)
+                tree.append(e)
+                continue
+            cycle = tree[pos[u] + 1:] + [e]
+            parity = cycle.index(min(cycle)) % 2
+            inc, dec = cycle[parity::2], cycle[1 - parity::2]
+            delta = min(mult[f] for f in dec)
+            for f in inc:
+                mult[f] += delta
+            for f in dec:
+                mult[f] -= delta
+                if mult[f] == 0:
+                    del mult[f]
+            cut = next((k for k in range(pos[u] + 1, len(path)) if tree[k] not in mult), None)
+            if cut is not None:
+                for w in path[cut:]:
+                    del pos[w]
+                del path[cut:], tree[cut:]
+    return mult
 
 
 def star_round(

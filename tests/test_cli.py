@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semimatch import solvers, write_instance
+from semimatch import build_instance, solvers, write_instance
 from semimatch.cli import main
 from conftest import random_unit, random_weighted
 
@@ -294,6 +294,43 @@ class TestVerify:
         assert error["error"] == "InstanceError"
         assert "edge_cap" in error["detail"]
 
+    @pytest.mark.parametrize("bad", [[0, 4, 1], [0, 3, -1], [0, 3, 1.0], [0, 3], {"c": 0}])
+    def test_matching_artifact_rejects_bad_mult(self, tmp_path, capsys, bad):
+        # client 0 is adjacent to server 3 only
+        path = tmp_path / "inst.json"
+        write_instance(build_instance([0, 1, 2], [3, 4], [(0, 3), (1, 3), (1, 4), (2, 4)]),
+                       path)
+        dump_dir = tmp_path / "dumps"
+        run_cli(capsys, "solve", str(path), "--algo", "congest-unweighted",
+                "--dump-matchings", str(dump_dir))
+        artifact = dump_dir / "B1.json"
+        doc = json.loads(artifact.read_text())
+        assert doc["mult"][0] == [0, 3, 1]
+        code, _, _ = run_cli(capsys, "verify", str(path), str(artifact),
+                             "--check", "no-short-aug-paths:5")
+        assert code == 0
+        doc["mult"][0] = bad
+        artifact.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path), str(artifact),
+                               "--check", "no-short-aug-paths:5")
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert "mult[0] must be" in error["detail"]
+
+    def test_matching_artifact_rejects_repeated_edge(self, unit_file, tmp_path, capsys):
+        dump_dir = tmp_path / "dumps"
+        run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                "--dump-matchings", str(dump_dir))
+        artifact = dump_dir / "B1.json"
+        doc = json.loads(artifact.read_text())
+        doc["mult"].append(doc["mult"][0])
+        artifact.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", unit_file, str(artifact),
+                               "--check", "no-short-aug-paths:17")
+        assert code == 1
+        assert f"mult[{len(doc['mult']) - 1}] repeats edge" in json.loads(err)["detail"]
+
     def test_cost_reducing_check(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
         path.write_text(
@@ -371,6 +408,16 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
         assert code == 1
         assert detail in json.loads(err)["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite", [[1], {"a": 1}, [{"generator": "star", "algo": "seq"}, 1]])
+    def test_suite_must_be_list_of_objects(self, tmp_path, capsys, suite):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(suite))
+        out = tmp_path / "bench.csv"
+        code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 1
+        assert "list of objects" in json.loads(err)["detail"]
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", [{"algo": "seq"}, {"algo": "seq", "generator": "nope"}])

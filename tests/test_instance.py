@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 
@@ -215,4 +217,23 @@ class TestFileIO:
         path = tmp_path / "bad.json"
         path.write_text('{"clients": [')
         with pytest.raises(InstanceError, match="line"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"clients": [{"id": 0, "weight": True}]}, "clients[0].weight"),
+        ({"clients": [{"id": 0.0, "weight": 1}]}, "clients[0].id"),
+        ({"clients": [{"id": False, "weight": 1}]}, "clients[0].id"),
+        ({"servers": [{"id": 1.0}]}, "servers[0].id"),
+        ({"edges": [[0, 1.0]]}, "edges[0]"),
+        ({"edges": [[True, 1]]}, "edges[0]"),
+        ({"clients": 5}, "'clients' must be a list"),
+        ({"servers": {"id": 1}}, "'servers' must be a list"),
+        ({"edges": "0-1"}, "'edges' must be a list"),
+        ({"clients": [], "servers": [], "edges": []}, "'clients' must not be empty"),
+    ])
+    def test_field_level_rejection(self, tmp_path, doc, field):
+        good = {"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1}], "edges": [[0, 1]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**good, **doc}))
+        with pytest.raises(InstanceError, match=re.escape(field)):
             read_instance(path)

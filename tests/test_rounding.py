@@ -1,6 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semimatch import (
     SplitAssignment,
@@ -10,25 +13,38 @@ from semimatch import (
     star_round,
     split_assignment_seq,
 )
-from semimatch.rounding import _find_support_cycle, support_degrees
+from semimatch.rounding import support_degrees
 from conftest import random_weighted
 
 
+def is_forest(mult):
+    """networkx oracle: the support of ``mult`` has no cycle."""
+    graph = nx.Graph()
+    graph.add_edges_from(e for e, x in mult.items() if x > 0)
+    return nx.is_forest(graph) if graph else True
+
+
+@st.composite
+def supports(draw):
+    """A small instance and a positive multiplicity on some of its edges."""
+    nc, ns = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, nc - 1), st.integers(nc, nc + ns - 1))
+    edges = draw(st.lists(pairs, unique=True, max_size=nc * ns))
+    inst = build_instance(range(nc), range(nc, nc + ns), edges)
+    used = draw(st.lists(st.sampled_from(edges), unique=True) if edges else st.just([]))
+    return inst, {e: draw(st.integers(1, 6)) for e in used}
+
+
 class TestFindSupportCycle:
-    def test_forest_none(self):
-        assert _find_support_cycle({(0, 2): 1, (1, 2): 1}) is None
-
-    def test_high_multiplicity_edge_is_not_a_cycle(self):
-        # a single edge carrying several units must not read as a 2-cycle
-        assert _find_support_cycle({(0, 2): 3}) is None
-
     def test_four_cycle_found(self):
-        cycle = _find_support_cycle({(0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1})
-        assert cycle is not None
-        assert len(cycle) == 4
-
-    def test_empty(self):
-        assert _find_support_cycle({}) is None
+        # the walk must find all four edges of the cycle: the alternation
+        # holding the smallest edge (0, 2) goes up, the other one vanishes
+        inst = build_instance([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)],
+                              {0: 2, 1: 2})
+        mult = {(0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1}
+        with pytest.raises(ValueError, match="cycle"):
+            star_round(inst, mult, dict(inst.weight))
+        assert cancel_cycles(inst, mult) == {(0, 2): 2, (1, 3): 2}
 
 
 class TestCancelCycles:
@@ -37,8 +53,20 @@ class TestCancelCycles:
                               {0: 2, 1: 2})
         mult = {(0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1}
         out = cancel_cycles(inst, mult)
-        assert _find_support_cycle(out) is None
+        assert is_forest(out)
         assert support_degrees(out) == support_degrees(mult)
+
+    def test_forest_unchanged(self):
+        inst = build_instance([0, 1], [2], [(0, 2), (1, 2)])
+        assert cancel_cycles(inst, {(0, 2): 1, (1, 2): 1}) == {(0, 2): 1, (1, 2): 1}
+
+    def test_high_multiplicity_edge_is_not_a_cycle(self):
+        # a single edge carrying several units must not read as a 2-cycle
+        inst = build_instance([0], [1], [(0, 1)], {0: 3})
+        assert cancel_cycles(inst, {(0, 1): 3}) == {(0, 1): 3}
+
+    def test_empty(self, chain):
+        assert cancel_cycles(chain, {}) == {}
 
     def test_acyclic_identity(self, chain):
         mult = {(0, 3): 1, (1, 3): 1, (2, 4): 1}
@@ -53,7 +81,20 @@ class TestCancelCycles:
         )
         mult = {e: 1 for e in inst.edges}
         out = cancel_cycles(inst, mult)
-        assert _find_support_cycle(out) is None
+        assert is_forest(out)
+        assert support_degrees(out) == support_degrees(mult)
+
+    def test_full_k12_12(self):
+        # every edge of K_12,12 in the support, with uneven multiplicities
+        n = 12
+        inst = build_instance(range(n), range(n, 2 * n),
+                              [(c, s) for c in range(n) for s in range(n, 2 * n)])
+        mult = {(c, s): 1 + (3 * c + 5 * s) % 4 for c, s in inst.edges}
+        before = dict(mult)
+        out = cancel_cycles(inst, mult)
+        assert mult == before
+        assert is_forest(out)
+        assert set(out) <= set(mult)
         assert support_degrees(out) == support_degrees(mult)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -73,7 +114,19 @@ class TestCancelCycles:
             if left:
                 mult[(c, inst.client_adj[c][0])] = mult.get((c, inst.client_adj[c][0]), 0) + left
         out = cancel_cycles(inst, mult)
-        assert _find_support_cycle(out) is None
+        assert is_forest(out)
+        assert support_degrees(out) == support_degrees(mult)
+
+    @settings(max_examples=300, deadline=None)
+    @given(supports())
+    def test_forest_with_same_degrees(self, case):
+        inst, mult = case
+        before = dict(mult)
+        out = cancel_cycles(inst, mult)
+        assert mult == before
+        assert is_forest(out)
+        assert all(x > 0 for x in out.values())
+        assert set(out) <= set(mult)
         assert support_degrees(out) == support_degrees(mult)
 
 
