@@ -177,9 +177,34 @@ def _dump_matchings(inst: Instance, per_b: dict[int, CapMatching], directory: st
 # ---------------------------------------------------------------------------
 
 
+def _int_by_id(doc: dict, name: str, ids, kind: str) -> dict[int, int]:
+    """``doc[name]``, an object keyed by exactly the ``kind`` ids ``ids``
+    (as JSON strings) with int values, as {id: value}."""
+    raw = doc[name]
+    if not isinstance(raw, dict):
+        raise InstanceError(f"artifact {name} must be an object keyed by {kind} id")
+    by_key = {str(i): i for i in ids}
+    out: dict[int, int] = {}
+    for key, v in raw.items():
+        field = f"artifact {name}[{json.dumps(key)}]"
+        if key not in by_key:
+            raise InstanceError(f"{field}: not a {kind} id of the instance")
+        if type(v) is not int:
+            raise InstanceError(f"{field} must be an int, got {v!r}")
+        out[by_key[key]] = v
+    missing = [i for i in ids if i not in out]
+    if missing:
+        raise InstanceError(f'artifact {name}["{missing[0]}"] is missing')
+    return out
+
+
+def _load_assignment(inst: Instance, doc: dict) -> Assignment:
+    return Assignment(inst, _int_by_id(doc, "assignment", inst.clients, "client"))
+
+
 def _load_matching_artifact(inst: Instance, doc: dict) -> CapMatching:
-    kappa = {int(c): v for c, v in doc["kappa"].items()}
-    tau = {int(s): v for s, v in doc["tau"].items()}
+    kappa = _int_by_id(doc, "kappa", inst.clients, "client")
+    tau = _int_by_id(doc, "tau", inst.servers, "server")
     try:
         profile = CapacityProfile(kappa, tau, doc.get("edge_cap"))
     except ValueError as exc:
@@ -210,12 +235,10 @@ def cmd_verify(args) -> int:
         entry: dict = {"check": check}
         try:
             if name == "validity":
-                mapping = {int(c): s for c, s in doc["assignment"].items()}
-                Assignment(inst, mapping)
+                _load_assignment(inst, doc)
                 entry["pass"] = True
             elif name == "cost-reducing":
-                mapping = {int(c): s for c, s in doc["assignment"].items()}
-                path = oracle_mod.find_cost_reducing_path(inst, Assignment(inst, mapping))
+                path = oracle_mod.find_cost_reducing_path(inst, _load_assignment(inst, doc))
                 entry["pass"] = path is None
                 if path is not None:
                     entry["witness"] = path

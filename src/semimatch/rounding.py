@@ -123,17 +123,14 @@ def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tupl
     return mult
 
 
-def star_round(
-    inst: Instance,
-    mult: dict[tuple[int, int], int],
-    kappa: dict[int, int],
-) -> dict[int, int]:
-    """Round a forest-supported client-perfect matching into an assignment.
+def star_round(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[int, int]:
+    """Round a forest-supported matching with client degrees equal to the
+    weights into an assignment.
 
     Each support tree is rooted at its smallest-id vertex.  A client with a
     child server assigns wholly to its smallest-id child; a childless client
     assigns to its parent server.  Per server s the load is bounded by
-    x(delta(s)) + max assigned kappa: at most one client assigns down into s
+    x(delta(s)) + max assigned weight: at most one client assigns down into s
     (its tree parent), and the clients assigning up into s account for at
     most x(delta(s)) units.
     """
@@ -145,8 +142,9 @@ def star_round(
         adj.setdefault(c, []).append(s)
         adj.setdefault(s, []).append(c)
     for c in inst.clients:
-        if deg[c] != kappa[c]:
-            raise ValueError(f"client {c} has support degree {deg[c]}, expected kappa {kappa[c]}")
+        if deg[c] != inst.weight[c]:
+            raise ValueError(f"client {c} has support degree {deg[c]}, "
+                             f"expected its weight {inst.weight[c]}")
     # forest check: edges (distinct) <= vertices - components
     n_vertices = len(adj)
     n_edges = len(mult)
@@ -191,5 +189,5 @@ def round_split(inst: Instance, split: SplitAssignment):
     from .solvers import Assignment  # local import to avoid a cycle
 
     forest = cancel_cycles(inst, split.mult)
-    mapping = star_round(inst, forest, dict(inst.weight))
+    mapping = star_round(inst, forest)
     return Assignment(inst, mapping)

@@ -3,15 +3,16 @@
 * ``solve_unweighted``: doubling schedule of capacity-doubled matchings with
   short augmenting paths eliminated; each client adopts the smallest budget
   at which it got matched.  8-approximate for the max load, 24-approximate
-  for every l_p norm.
+  for every l_p norm.  It is ``solve_backup`` with r = 1: both run the one
+  schedule of ``_doubling_schedule``.
 * ``solve_weighted_congest``: per-weight-class reduction to the unweighted
   solver (O(log n)-approximate).
 * ``solve_weighted_local``: client-expansion emulation plus per-class
   capacity-guided re-matching (O(1)-approximate).
 * ``split_assignment_seq`` / ``solve_sequential``: blocking-flow schedule
   producing a split assignment, then cycle-cancelling rounding.
-* ``solve_backup``: replication-factor variant with simple (multiplicity-1)
-  matchings.
+* ``solve_backup``: replication-factor variant of the same schedule, with
+  client capacity r and simple (multiplicity-1) matchings.
 """
 
 from __future__ import annotations
@@ -140,32 +141,44 @@ def b_schedule(limit: int) -> list[int]:
     return [1 << i for i in range(_ceil_log2(limit) + 1)]
 
 
+def _doubling_schedule(
+    inst: Instance, r: int
+) -> tuple[dict[int, tuple[int, ...]], dict[int, CapMatching]]:
+    """The doubling schedule of the unit-weight solvers.
+
+    For each budget B, computes an (r, 2B)-matching free of augmenting paths
+    of length <= 4*ceil(log2 n) + 1 (simple when r > 1; with r = 1 no edge
+    can carry two units anyway); each client adopts its matched servers,
+    ascending, at the smallest B at which it is matched r times.  Returns
+    client -> servers and the per-budget matchings.
+    """
+    k = short_path_bound(inst.n)
+    edge_cap = None if r == 1 else 1
+    chosen: dict[int, tuple[int, ...]] = {}
+    matchings: dict[int, CapMatching] = {}
+    for B in b_schedule(inst.n):
+        x = eliminate_short_paths(inst, CapacityProfile.uniform(inst, r, 2 * B, edge_cap), k)
+        matchings[B] = x
+        for c in inst.clients:
+            if c not in chosen and x.client_deg[c] == r:
+                chosen[c] = tuple(s for s in inst.client_adj[c] if (c, s) in x.mult)
+    # client-perfect at the last budget, so every client adopted some budget
+    if not is_client_perfect(inst, x):
+        raise AssertionError("final budget matching must be client-perfect")
+    return chosen, matchings
+
+
 def solve_unweighted(
     inst: Instance,
 ) -> tuple[Assignment, dict[int, CapMatching]]:
-    """Doubling-budget unweighted solver.
-
-    For each budget B, computes a (1, 2B)-matching free of augmenting paths
-    of length <= 4*ceil(log2 n) + 1; each client assigns itself according to
-    the smallest B at which it is matched.
-    """
+    """Doubling-budget unweighted solver: the doubling schedule with r = 1,
+    each client on the server it got at the smallest budget at which it is
+    matched."""
     if not inst.is_unit_weight():
         raise ValueError("solve_unweighted requires unit weights")
     _check_feasible(inst)
-    k = short_path_bound(inst.n)
-    matchings: dict[int, CapMatching] = {}
-    mapping: dict[int, int] = {}
-    for B in b_schedule(inst.n):
-        profile = CapacityProfile.uniform(inst, kappa=1, tau=2 * B)
-        x = eliminate_short_paths(inst, profile, k)
-        matchings[B] = x
-        for (c, s), v in x.mult.items():
-            if v > 0 and c not in mapping:
-                mapping[c] = s
-    final = matchings[max(matchings)]
-    if not is_client_perfect(inst, final):
-        raise AssertionError("final budget matching must be client-perfect")
-    return Assignment(inst, mapping), matchings
+    chosen, matchings = _doubling_schedule(inst, 1)
+    return Assignment(inst, {c: s for c, (s,) in chosen.items()}), matchings
 
 
 def _per_class(inst: Instance, solve_class) -> dict[int, tuple[int, ...]]:
@@ -233,7 +246,7 @@ def solve_weighted_local(inst: Instance) -> Assignment:
             raise AssertionError(
                 f"class {view.class_index} matching not client-perfect; engine bug"
             )
-        return {c: (s,) for (c, s), v in x.mult.items() if v > 0}
+        return {c: (s,) for c, s in x.mult}
 
     return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
 
@@ -262,49 +275,24 @@ def split_assignment_seq(
     if not is_client_perfect(inst, final):
         raise AssertionError("final budget matching must be client-perfect")
 
-    # per-budget index: client -> sorted [(server, multiplicity)]
-    by_client: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for B, x in matchings.items():
-        idx: dict[int, list[tuple[int, int]]] = {}
-        for (c, s), v in x.mult.items():
-            if v > 0:
-                idx.setdefault(c, []).append((s, v))
-        for slots in idx.values():
-            slots.sort()
-        by_client[B] = idx
-
     mult: dict[tuple[int, int], int] = {}
     for c in inst.clients:
+        # units placed so far = running maximum of c's matched degree
         placed = 0
-        d_star_prev = 0
-        d_star = 0
         used: set[int] = set()
         for B in schedule:
-            c_slots = by_client[B].get(c, [])
-            deg_b = sum(v for _, v in c_slots)
-            d_star = max(d_star, deg_b)
-            alloc = min(max(0, d_star - d_star_prev), inst.weight[c] - placed)
-            if alloc > 0:
-                slots = sorted(c_slots, key=lambda sv: (0 if sv[0] in used else 1, sv[0]))
-                for s, avail in slots:
-                    if alloc == 0:
-                        break
-                    take = min(avail, alloc)
-                    mult[(c, s)] = mult.get((c, s), 0) + take
-                    used.add(s)
-                    placed += take
-                    alloc -= take
-            d_star_prev = d_star
-        if placed < inst.weight[c]:
-            # top up from the final (client-perfect) matching
-            for s in inst.client_adj[c]:
-                avail = final.mult.get((c, s), 0)
-                if avail <= 0:
-                    continue
-                take = min(avail, inst.weight[c] - placed)
+            x = matchings[B]
+            alloc = x.client_deg[c] - placed
+            if alloc <= 0:
+                continue
+            slots = [s for s in inst.client_adj[c] if (c, s) in x.mult]
+            for s in sorted(slots, key=lambda t: (t not in used, t)):
+                take = min(x.mult[(c, s)], alloc)
                 mult[(c, s)] = mult.get((c, s), 0) + take
+                used.add(s)
                 placed += take
-                if placed == inst.weight[c]:
+                alloc -= take
+                if alloc == 0:
                     break
         if placed != inst.weight[c]:
             raise AssertionError(f"client {c} placed {placed} of {inst.weight[c]} units")
@@ -320,41 +308,20 @@ def solve_sequential(inst: Instance) -> Assignment:
 def solve_backup(inst: Instance, r: int) -> MultiAssignment:
     """Backup placement with replication factor r.
 
-    Uses simple (multiplicity <= 1) matchings with client capacity r and
-    server capacity 2B over the doubling schedule; each client adopts the
-    smallest B at which it is matched exactly r times, ignoring budgets with
-    partial matches.  Weighted instances are routed through the per-class
-    reduction.
+    Runs the doubling schedule with client capacity r: simple (multiplicity
+    <= 1) matchings with server capacity 2B; each client adopts the smallest
+    B at which it is matched exactly r times, ignoring budgets with partial
+    matches.  Weighted instances are routed through the per-class reduction.
     """
     if r < 1:
         raise ValueError("replication factor must be >= 1")
     _check_feasible(inst, min_degree=r)
     if inst.is_unit_weight():
-        return _solve_backup_unit(inst, r)
-    _require_normalized(inst)
-    chosen = _per_class(inst, lambda view, sub, smap: _solve_backup_unit(sub, r).mapping)
+        chosen = _doubling_schedule(inst, r)[0]
+    else:
+        _require_normalized(inst)
+        chosen = _per_class(inst, lambda view, sub, smap: _doubling_schedule(sub, r)[0])
     return MultiAssignment(inst, r, chosen)
-
-
-def _solve_backup_unit(inst: Instance, r: int) -> MultiAssignment:
-    _check_feasible(inst, min_degree=r)
-    k = short_path_bound(inst.n)
-    mapping: dict[int, tuple[int, ...]] = {}
-    for B in b_schedule(inst.n):
-        profile = CapacityProfile(
-            {c: r for c in inst.clients}, {s: 2 * B for s in inst.servers}, edge_cap=1
-        )
-        x = eliminate_short_paths(inst, profile, k)
-        for c in inst.clients:
-            if c in mapping:
-                continue
-            chosen = tuple(sorted(s for s in inst.client_adj[c] if x.mult.get((c, s), 0) > 0))
-            if len(chosen) == r:
-                mapping[c] = chosen
-    missing = [c for c in inst.clients if c not in mapping]
-    if missing:
-        raise AssertionError(f"clients never matched {r} times: {missing[:5]}")
-    return MultiAssignment(inst, r, mapping)
 
 
 def _require_normalized(inst: Instance) -> None:

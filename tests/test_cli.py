@@ -331,6 +331,54 @@ class TestVerify:
         assert code == 1
         assert f"mult[{len(doc['mult']) - 1}] repeats edge" in json.loads(err)["detail"]
 
+    @pytest.mark.parametrize("name, key, value, detail", [
+        ("kappa", "0", True, 'kappa["0"] must be an int'),
+        ("kappa", "0", 1.5, 'kappa["0"] must be an int'),
+        ("kappa", "99", 1, 'kappa["99"]: not a client id'),
+        ("tau", "4", None, 'tau["4"] is missing'),
+    ], ids=["kappa-bool", "kappa-float", "kappa-extra-key", "tau-missing-key"])
+    def test_matching_artifact_rejects_bad_capacities(self, chain, tmp_path, capsys,
+                                                      name, key, value, detail):
+        path = tmp_path / "inst.json"
+        write_instance(chain, path)
+        dump_dir = tmp_path / "dumps"
+        run_cli(capsys, "solve", str(path), "--algo", "congest-unweighted",
+                "--dump-matchings", str(dump_dir))
+        artifact = dump_dir / "B1.json"
+        doc = json.loads(artifact.read_text())
+        assert doc["kappa"] == {"0": 1, "1": 1, "2": 1}
+        assert doc["tau"] == {"3": 2, "4": 2}
+        if value is None:
+            del doc[name][key]
+        else:
+            doc[name][key] = value
+        artifact.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path), str(artifact),
+                               "--check", "no-short-aug-paths:5")
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert detail in error["detail"]
+
+    @pytest.mark.parametrize("check", ["validity", "cost-reducing"])
+    @pytest.mark.parametrize("assignment, detail", [
+        ({"0": True}, 'assignment["0"] must be an int'),
+        ({"0": 1.0}, 'assignment["0"] must be an int'),
+        ({"0": 1, "99": 1}, 'assignment["99"]: not a client id'),
+    ], ids=["bool", "float", "extra-key"])
+    def test_assignment_rejects_bad_ids(self, tmp_path, capsys, check, assignment, detail):
+        path, artifact = tmp_path / "inst.json", tmp_path / "a.json"
+        run_cli(capsys, "gen", "disjoint-perfect", "--k", "1", "-o", str(path))
+        artifact.write_text(json.dumps({"assignment": {"0": 1}}))
+        code, _, _ = run_cli(capsys, "verify", str(path), str(artifact), "--check", check)
+        assert code == 0
+        artifact.write_text(json.dumps({"assignment": assignment}))
+        code, _, err = run_cli(capsys, "verify", str(path), str(artifact), "--check", check)
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert detail in error["detail"]
+
     def test_cost_reducing_check(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
         path.write_text(

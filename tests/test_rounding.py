@@ -43,7 +43,7 @@ class TestFindSupportCycle:
                               {0: 2, 1: 2})
         mult = {(0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1}
         with pytest.raises(ValueError, match="cycle"):
-            star_round(inst, mult, dict(inst.weight))
+            star_round(inst, mult)
         assert cancel_cycles(inst, mult) == {(0, 2): 2, (1, 3): 2}
 
 
@@ -137,7 +137,7 @@ class TestStarRound:
             [0, 1, 2], [3, 4], [(0, 3), (0, 4), (1, 4), (2, 4)], {0: 2, 1: 1, 2: 1}
         )
         mult = {(0, 3): 1, (0, 4): 1, (1, 4): 1, (2, 4): 1}
-        mapping = star_round(inst, mult, dict(inst.weight))
+        mapping = star_round(inst, mult)
         # root 0 has child servers 3 and 4; picks the smallest
         assert mapping[0] == 3
         # 1 and 2 are leaves under server 4
@@ -153,18 +153,18 @@ class TestStarRound:
         inst = build_instance([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2), (1, 3)],
                               {0: 2, 1: 2})
         with pytest.raises(ValueError, match="cycle"):
-            star_round(inst, {e: 1 for e in inst.edges}, dict(inst.weight))
+            star_round(inst, {e: 1 for e in inst.edges})
 
     def test_wrong_degree_rejected(self, chain):
         with pytest.raises(ValueError, match="support degree"):
-            star_round(chain, {(0, 3): 2, (1, 3): 1, (2, 4): 1}, dict(chain.weight))
+            star_round(chain, {(0, 3): 2, (1, 3): 1, (2, 4): 1})
 
     @pytest.mark.parametrize("seed", range(30))
     def test_load_bound_randomized(self, seed):
         inst = random_weighted(seed, nc=10, ns=5, p=0.5, max_weight=4)
         split, _ = split_assignment_seq(inst)
         forest = cancel_cycles(inst, split.mult)
-        mapping = star_round(inst, forest, dict(inst.weight))
+        mapping = star_round(inst, forest)
         split_loads = {s: 0 for s in inst.servers}
         for (c, s), x in forest.items():
             split_loads[s] += x

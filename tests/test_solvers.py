@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semimatch import (
     Assignment,
@@ -222,6 +224,41 @@ class TestBackup:
         )
         out = solve_backup(inst, 2)
         assert out.load_vector().loads == {2: 3, 3: 3}
+
+
+@st.composite
+def feasible_instances(draw, weighted):
+    """A small instance in which every client has a server; power-of-two
+    weights of at most n when ``weighted``, else unit weights."""
+    nc, ns = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    servers = range(nc, nc + ns)
+    edges = []
+    for c in range(nc):
+        row = draw(st.lists(st.sampled_from(servers), min_size=1, unique=True))
+        edges.extend((c, s) for s in row)
+    weights = None
+    if weighted:
+        top = (nc + ns).bit_length() - 1
+        weights = {c: 1 << draw(st.integers(0, top)) for c in range(nc)}
+    return build_instance(range(nc), servers, edges, weights)
+
+
+class TestBackupWithOneCopy:
+    """Backup placement with r = 1 is the unweighted solver (and, through the
+    per-class reduction, the CONGEST weighted solver)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_instances(weighted=False))
+    def test_unit_equals_solve_unweighted(self, inst):
+        single = solve_unweighted(inst)[0].mapping
+        assert solve_backup(inst, 1).mapping == {c: (s,) for c, s in single.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_instances(weighted=True))
+    def test_weighted_equals_solve_weighted_congest(self, inst):
+        assert inst.is_normalized()
+        single = solve_weighted_congest(inst).mapping
+        assert solve_backup(inst, 1).mapping == {c: (s,) for c, s in single.items()}
 
 
 class TestMultiAssignment:
