@@ -178,8 +178,8 @@ def _dump_matchings(inst: Instance, per_b: dict[int, CapMatching], directory: st
 
 
 def _int_by_id(doc: dict, name: str, ids, kind: str) -> dict[int, int]:
-    """``doc[name]``, an object keyed by exactly the ``kind`` ids ``ids``
-    (as JSON strings) with int values, as {id: value}."""
+    """``doc[name]``, an object keyed by ``kind`` ids of ``ids`` (as JSON
+    strings) with int values, as {id: value}; an id may be missing."""
     raw = doc[name]
     if not isinstance(raw, dict):
         raise InstanceError(f"artifact {name} must be an object keyed by {kind} id")
@@ -192,19 +192,16 @@ def _int_by_id(doc: dict, name: str, ids, kind: str) -> dict[int, int]:
         if type(v) is not int:
             raise InstanceError(f"{field} must be an int, got {v!r}")
         out[by_key[key]] = v
-    missing = [i for i in ids if i not in out]
-    if missing:
-        raise InstanceError(f'artifact {name}["{missing[0]}"] is missing')
     return out
-
-
-def _load_assignment(inst: Instance, doc: dict) -> Assignment:
-    return Assignment(inst, _int_by_id(doc, "assignment", inst.clients, "client"))
 
 
 def _load_matching_artifact(inst: Instance, doc: dict) -> CapMatching:
     kappa = _int_by_id(doc, "kappa", inst.clients, "client")
     tau = _int_by_id(doc, "tau", inst.servers, "server")
+    for name, ids, got in (("kappa", inst.clients, kappa), ("tau", inst.servers, tau)):
+        missing = [i for i in ids if i not in got]
+        if missing:
+            raise InstanceError(f'artifact {name}["{missing[0]}"] is missing')
     try:
         profile = CapacityProfile(kappa, tau, doc.get("edge_cap"))
     except ValueError as exc:
@@ -234,14 +231,18 @@ def cmd_verify(args) -> int:
         name, _, param = check.partition(":")
         entry: dict = {"check": check}
         try:
-            if name == "validity":
-                _load_assignment(inst, doc)
-                entry["pass"] = True
-            elif name == "cost-reducing":
-                path = oracle_mod.find_cost_reducing_path(inst, _load_assignment(inst, doc))
-                entry["pass"] = path is None
-                if path is not None:
-                    entry["witness"] = path
+            if name in ("validity", "cost-reducing"):
+                mapping = _int_by_id(doc, "assignment", inst.clients, "client")
+                try:
+                    assignment = Assignment(inst, mapping)
+                except ValueError as exc:  # a client unassigned or on a non-adjacent server
+                    entry["pass"], entry["reason"] = False, str(exc)
+                else:
+                    path = (oracle_mod.find_cost_reducing_path(inst, assignment)
+                            if name == "cost-reducing" else None)
+                    entry["pass"] = path is None
+                    if path is not None:
+                        entry["witness"] = path
             elif name == "no-short-aug-paths":
                 k = int(param)
                 matching = _load_matching_artifact(inst, doc)
@@ -362,6 +363,16 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _norm_p(text: str) -> float:
+    try:
+        p = float(text)
+    except ValueError:
+        p = math.nan
+    if not (math.isfinite(p) and p >= 1):
+        raise argparse.ArgumentTypeError(f"p must be finite and >= 1, got {text}")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semimatch")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -386,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--simulate", action="store_true")
     solve.add_argument("--trace-out", dest="trace_out")
     solve.add_argument("--dump-matchings", dest="dump_matchings")
-    solve.add_argument("--p", type=float, action="append",
-                       help="report an additional l_p norm")
+    solve.add_argument("--p", type=_norm_p, action="append",
+                       help="report an additional l_p norm (finite p >= 1)")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="verify a solve/matching artifact")

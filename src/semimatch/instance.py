@@ -181,15 +181,16 @@ def weight_classes(inst: Instance) -> list[WeightClassView]:
                 f"client {c} has non-power-of-two weight {w}; call normalize_weights first"
             )
     by_class: dict[int, list[int]] = {}
+    edges_of: dict[int, list[tuple[int, int]]] = {}
     for c in inst.clients:
         by_class.setdefault(inst.weight[c].bit_length() - 1, []).append(c)
+    for e in inst.edges:
+        edges_of.setdefault(inst.weight[e[0]].bit_length() - 1, []).append(e)
     views = []
     for i in sorted(by_class):
-        cs = tuple(sorted(by_class[i]))
-        members = set(cs)
-        es = tuple(e for e in inst.edges if e[0] in members)
+        es = tuple(edges_of.get(i, ()))
         srv = tuple(sorted({s for _, s in es}))
-        views.append(WeightClassView(i, cs, srv, es))
+        views.append(WeightClassView(i, tuple(by_class[i]), srv, es))
     return views
 
 
@@ -217,25 +218,16 @@ def client_expand(inst: Instance, max_expanded_clients: int = 10**6) -> Expanded
     return ExpandedInstance(inst, expanded, copy_of, server_map)
 
 
-def induced_subinstance(
-    inst: Instance, clients, servers
-) -> tuple[Instance, dict[int, int], dict[int, int]]:
-    """Relabel a client/server subset into a dense-id sub-instance.
-
-    Returns (sub-instance, client map old->new, server map old->new).  Weights
-    are reset to 1 (callers use this for the per-class unweighted reduction).
+def induced_subinstance(view: WeightClassView) -> Instance:
+    """Relabel a weight class's induced subgraph into a dense-id sub-instance:
+    ``view.clients[i]`` becomes client i and ``view.servers[j]`` server
+    ``len(view.clients) + j``.  Weights are reset to 1 (callers use this for
+    the per-class unweighted reduction).
     """
-    clients = sorted(clients)
-    servers = sorted(servers)
-    cmap = {c: i for i, c in enumerate(clients)}
-    smap = {s: len(clients) + i for i, s in enumerate(servers)}
-    edges = [
-        (cmap[c], smap[s])
-        for c, s in inst.edges
-        if c in cmap and s in smap
-    ]
-    sub = build_instance(range(len(clients)), smap.values(), edges)
-    return sub, cmap, smap
+    cmap = {c: i for i, c in enumerate(view.clients)}
+    smap = {s: len(cmap) + j for j, s in enumerate(view.servers)}
+    return build_instance(cmap.values(), smap.values(),
+                          [(cmap[c], smap[s]) for c, s in view.edges])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
   short augmenting paths eliminated; each client adopts the smallest budget
   at which it got matched.  8-approximate for the max load, 24-approximate
   for every l_p norm.  It is ``solve_backup`` with r = 1: both run the one
-  schedule of ``_doubling_schedule``.
+  schedule of ``_unit_schedule``.
 * ``solve_weighted_congest``: per-weight-class reduction to the unweighted
   solver (O(log n)-approximate).
 * ``solve_weighted_local``: client-expansion emulation plus per-class
@@ -13,6 +13,12 @@
   producing a split assignment, then cycle-cancelling rounding.
 * ``solve_backup``: replication-factor variant of the same schedule, with
   client capacity r and simple (multiplicity-1) matchings.
+
+Both schedules are lazy (B, matching) generators; ``_until_client_perfect``
+stops one at its first client-perfect budget, past which no output changes.
+Direct solves stop there.  ``split_assignment_seq`` and ``solve_unweighted``
+return every budget's matching (as ``--dump-matchings`` writes them), and
+simulated traces charge the full schedule.
 """
 
 from __future__ import annotations
@@ -141,75 +147,82 @@ def b_schedule(limit: int) -> list[int]:
     return [1 << i for i in range(_ceil_log2(limit) + 1)]
 
 
-def _doubling_schedule(
-    inst: Instance, r: int
-) -> tuple[dict[int, tuple[int, ...]], dict[int, CapMatching]]:
-    """The doubling schedule of the unit-weight solvers.
-
-    For each budget B, computes an (r, 2B)-matching free of augmenting paths
-    of length <= 4*ceil(log2 n) + 1 (simple when r > 1; with r = 1 no edge
-    can carry two units anyway); each client adopts its matched servers,
-    ascending, at the smallest B at which it is matched r times.  Returns
-    client -> servers and the per-budget matchings.
-    """
+def _unit_schedule(inst: Instance, r: int):
+    """The unit-weight doubling schedule, lazily: per budget B, (B, an
+    (r, 2B)-matching free of augmenting paths of length <= short_path_bound(n)),
+    simple when r > 1 (with r = 1 no edge can carry two units anyway)."""
     k = short_path_bound(inst.n)
     edge_cap = None if r == 1 else 1
-    chosen: dict[int, tuple[int, ...]] = {}
-    matchings: dict[int, CapMatching] = {}
     for B in b_schedule(inst.n):
-        x = eliminate_short_paths(inst, CapacityProfile.uniform(inst, r, 2 * B, edge_cap), k)
-        matchings[B] = x
+        yield B, eliminate_short_paths(inst, CapacityProfile.uniform(inst, r, 2 * B, edge_cap), k)
+
+
+def _split_schedule(inst: Instance):
+    """The blocking-flow schedule, lazily: for each budget B, (B, a
+    (w, 2B)-matching computed by blocking-flow phases)."""
+    phases = 9 * _ceil_log2(inst.total_weight + len(inst.servers))  # expanded vertex count
+    for B in b_schedule(inst.n * inst.max_weight):
+        profile = CapacityProfile(dict(inst.weight), {s: 2 * B for s in inst.servers})
+        yield B, blocking_flow_matching(inst, profile, phases)
+
+
+def _until_client_perfect(inst: Instance, budgets):
+    """The matchings of ``budgets`` ((B, matching) pairs in schedule order)
+    up to and including the first client-perfect one.  Every client has
+    taken its servers by then, so no later budget changes any output."""
+    for _, x in budgets:
+        yield x
+        if is_client_perfect(inst, x):
+            return
+    raise AssertionError("no budget matching of the schedule is client-perfect")
+
+
+def _adopt(inst: Instance, budgets, r: int) -> dict[int, tuple[int, ...]]:
+    """Client -> its matched servers, ascending, at the smallest budget at
+    which it is matched r times."""
+    chosen: dict[int, tuple[int, ...]] = {}
+    for x in _until_client_perfect(inst, budgets):
         for c in inst.clients:
             if c not in chosen and x.client_deg[c] == r:
                 chosen[c] = tuple(s for s in inst.client_adj[c] if (c, s) in x.mult)
-    # client-perfect at the last budget, so every client adopted some budget
-    if not is_client_perfect(inst, x):
-        raise AssertionError("final budget matching must be client-perfect")
-    return chosen, matchings
+    return chosen
 
 
-def solve_unweighted(
-    inst: Instance,
-) -> tuple[Assignment, dict[int, CapMatching]]:
+def solve_unweighted(inst: Instance) -> tuple[Assignment, dict[int, CapMatching]]:
     """Doubling-budget unweighted solver: the doubling schedule with r = 1,
     each client on the server it got at the smallest budget at which it is
-    matched."""
+    matched.  Returns every budget's matching."""
     if not inst.is_unit_weight():
         raise ValueError("solve_unweighted requires unit weights")
     _check_feasible(inst)
-    chosen, matchings = _doubling_schedule(inst, 1)
+    matchings = dict(_unit_schedule(inst, 1))
+    chosen = _adopt(inst, matchings.items(), 1)
     return Assignment(inst, {c: s for c, (s,) in chosen.items()}), matchings
 
 
 def _per_class(inst: Instance, solve_class) -> dict[int, tuple[int, ...]]:
     """The per-weight-class reduction.
 
-    Calls ``solve_class(view, sub, smap)`` on each class's induced
-    sub-instance (clients relabelled densely and treated as unit weight;
-    ``smap`` maps base server ids to sub ids).  It returns sub client ->
-    the sub servers chosen for it; this returns base client -> the base
-    servers chosen for it, ascending.
+    Calls ``solve_class(view, sub)`` on each class's induced sub-instance
+    (``view.clients`` then ``view.servers`` relabelled densely, treated as
+    unit weight).  It returns sub client -> the sub servers chosen for it;
+    this returns base client -> the base servers chosen for it, ascending.
     """
     chosen: dict[int, tuple[int, ...]] = {}
     for view in weight_classes(inst):
-        sub, cmap, smap = induced_subinstance(inst, view.clients, view.servers)
-        inv_c = {v: k for k, v in cmap.items()}
-        inv_s = {v: k for k, v in smap.items()}
-        for c, servers in solve_class(view, sub, smap).items():
-            chosen[inv_c[c]] = tuple(sorted(inv_s[s] for s in servers))
+        first = len(view.clients)  # sub id of view.servers[0]
+        for c, servers in solve_class(view, induced_subinstance(view)).items():
+            chosen[view.clients[c]] = tuple(sorted(view.servers[s - first] for s in servers))
     return chosen
 
 
 def solve_weighted_congest(inst: Instance) -> Assignment:
-    """Per-weight-class reduction: run the unweighted solver on each class
-    subgraph (clients treated as unit weight) and combine."""
+    """Per-weight-class reduction: run the unweighted solver's schedule on
+    each class subgraph (clients treated as unit weight) and combine."""
     _require_normalized(inst)
     _check_feasible(inst)
-
-    def solve_class(view, sub, smap):
-        return {c: (s,) for c, s in solve_unweighted(sub)[0].mapping.items()}
-
-    return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
+    chosen = _per_class(inst, lambda view, sub: _adopt(sub, _unit_schedule(sub, 1), 1))
+    return Assignment(inst, {c: s for c, (s,) in chosen.items()})
 
 
 def solve_weighted_local(inst: Instance) -> Assignment:
@@ -223,65 +236,41 @@ def solve_weighted_local(inst: Instance) -> Assignment:
     _require_normalized(inst)
     _check_feasible(inst)
     exp = client_expand(inst)
-    tilde_a, _ = solve_unweighted(exp.instance)
-    n_tilde = exp.instance.n
+    k = short_path_bound(exp.instance.n)
+    # loads of the expanded assignment per (class weight, base server)
+    restricted: dict[tuple[int, int], int] = {}
+    for cid, (s_exp,) in _adopt(exp.instance, _unit_schedule(exp.instance, 1), 1).items():
+        key = (inst.weight[exp.copy_of[cid][0]], exp.server_unmap[s_exp])
+        restricted[key] = restricted.get(key, 0) + 1
 
-    def solve_class(view, sub, smap):
-        class_clients = set(view.clients)
-        # loads of the expanded assignment restricted to this class's copies
-        restricted: dict[int, int] = {s: 0 for s in inst.servers}
-        for cid, s_exp in tilde_a.mapping.items():
-            base_c, _ = exp.copy_of[cid]
-            if base_c in class_clients:
-                restricted[exp.server_unmap[s_exp]] += 1
+    def solve_class(view, sub):
         wi = view.class_weight
-        tau_i = {
-            s: (restricted[s] + wi if restricted[s] > 0 else 0) for s in view.servers
-        }
-        sub_tau = {smap[s]: 2 * math.ceil(tau_i[s] / wi) if tau_i[s] > 0 else 0
-                   for s in view.servers}
+        # tau_i(s) = restricted load + wi where the class has load, else 0
+        sub_tau = {sub_s: 2 * math.ceil((restricted[wi, s] + wi) / wi)
+                   if (wi, s) in restricted else 0
+                   for sub_s, s in zip(sub.servers, view.servers)}
         profile = CapacityProfile({c: 1 for c in sub.clients}, sub_tau)
-        x = eliminate_short_paths(sub, profile, short_path_bound(n_tilde))
+        x = eliminate_short_paths(sub, profile, k)
         if not is_client_perfect(sub, x):
-            raise AssertionError(
-                f"class {view.class_index} matching not client-perfect; engine bug"
-            )
+            raise AssertionError(f"class {view.class_index} matching not client-perfect; "
+                                 "engine bug")
         return {c: (s,) for c, s in x.mult}
 
     return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
 
 
-def split_assignment_seq(
-    inst: Instance,
-) -> tuple[SplitAssignment, dict[int, CapMatching]]:
-    """Blocking-flow schedule producing a split assignment.
-
-    For each budget B, computes a (w, 2B)-matching via blocking-flow phases;
-    client c then receives units per budget according to the growth of its
+def _split(inst: Instance, budgets) -> SplitAssignment:
+    """Client c receives units per budget according to the growth of its
     running-maximum matched degree, drawn from its matched servers at that
     budget (preferring servers already holding units of c, then ascending
-    id).
-    """
-    _require_normalized(inst)
-    _check_feasible(inst)
-    n_tilde = inst.total_weight + len(inst.servers)  # expanded vertex count
-    phases = 9 * _ceil_log2(n_tilde)
-    matchings: dict[int, CapMatching] = {}
-    schedule = b_schedule(inst.n * inst.max_weight)
-    for B in schedule:
-        profile = CapacityProfile(dict(inst.weight), {s: 2 * B for s in inst.servers})
-        matchings[B] = blocking_flow_matching(inst, profile, phases)
-    final = matchings[schedule[-1]]
-    if not is_client_perfect(inst, final):
-        raise AssertionError("final budget matching must be client-perfect")
-
+    id)."""
+    schedule = list(_until_client_perfect(inst, budgets))
     mult: dict[tuple[int, int], int] = {}
     for c in inst.clients:
         # units placed so far = running maximum of c's matched degree
         placed = 0
         used: set[int] = set()
-        for B in schedule:
-            x = matchings[B]
+        for x in schedule:
             alloc = x.client_deg[c] - placed
             if alloc <= 0:
                 continue
@@ -296,13 +285,23 @@ def split_assignment_seq(
                     break
         if placed != inst.weight[c]:
             raise AssertionError(f"client {c} placed {placed} of {inst.weight[c]} units")
-    return SplitAssignment(inst, mult), matchings
+    return SplitAssignment(inst, mult)
+
+
+def split_assignment_seq(inst: Instance) -> tuple[SplitAssignment, dict[int, CapMatching]]:
+    """Blocking-flow schedule producing a split assignment (see ``_split``).
+    Returns every budget's matching."""
+    _require_normalized(inst)
+    _check_feasible(inst)
+    matchings = dict(_split_schedule(inst))
+    return _split(inst, matchings.items()), matchings
 
 
 def solve_sequential(inst: Instance) -> Assignment:
     """Near-linear sequential solver: split assignment + rounding."""
-    split, _ = split_assignment_seq(inst)
-    return round_split(inst, split)
+    _require_normalized(inst)
+    _check_feasible(inst)
+    return round_split(inst, _split(inst, _split_schedule(inst)))
 
 
 def solve_backup(inst: Instance, r: int) -> MultiAssignment:
@@ -317,10 +316,10 @@ def solve_backup(inst: Instance, r: int) -> MultiAssignment:
         raise ValueError("replication factor must be >= 1")
     _check_feasible(inst, min_degree=r)
     if inst.is_unit_weight():
-        chosen = _doubling_schedule(inst, r)[0]
+        chosen = _adopt(inst, _unit_schedule(inst, r), r)
     else:
         _require_normalized(inst)
-        chosen = _per_class(inst, lambda view, sub, smap: _doubling_schedule(sub, r)[0])
+        chosen = _per_class(inst, lambda view, sub: _adopt(sub, _unit_schedule(sub, r), r))
     return MultiAssignment(inst, r, chosen)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from semimatch import build_instance, generate_instance, normalize_weights
@@ -12,6 +14,23 @@ def chain():
 @pytest.fixture
 def star4():
     return generate_instance("star", n_clients=4)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made through any reference the
+    package holds to it, wherever it calls from; returns the list of each
+    call's positional arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "semimatch" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def random_unit(seed, nc=8, ns=4, p=0.5):

@@ -1,12 +1,11 @@
 import csv
 import json
-import sys
 
 import pytest
 
 from semimatch import build_instance, solvers, write_instance
 from semimatch.cli import main
-from conftest import random_unit, random_weighted
+from conftest import count_calls, random_unit, random_weighted
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +95,11 @@ class TestBadArguments:
         ("solve", "{f}", "--algo", "seq", "--seed", "3"),
         ("frobnicate",),
         (),
+        # --p takes only a finite p >= 1
+        ("solve", "{f}", "--algo", "congest-unweighted", "--p", "0"),
+        ("solve", "{f}", "--algo", "congest-unweighted", "--p=-1"),
+        ("solve", "{f}", "--algo", "congest-unweighted", "--p", "nan"),
+        ("solve", "{f}", "--algo", "congest-unweighted", "--p", "inf"),
     ])
     def test_usage_error_exits_1(self, unit_file, capsys, argv):
         code, _, err = run_cli(capsys, *[a.format(f=unit_file) for a in argv])
@@ -130,17 +134,7 @@ class TestDumpMatchings:
         ("congest-unweighted", "solve_unweighted"),
     ])
     def test_solves_once(self, unit_file, tmp_path, capsys, monkeypatch, algo, solver):
-        original = getattr(solvers, solver)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        # rebind every reference the package holds, wherever it calls from
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "semimatch" and getattr(mod, solver, None) is original:
-                monkeypatch.setattr(mod, solver, counting)
+        calls = count_calls(monkeypatch, solvers, solver)
         dump_dir = tmp_path / "dumps"
         code, _, _ = run_cli(capsys, "solve", unit_file, "--algo", algo,
                              "--dump-matchings", str(dump_dir))
@@ -378,6 +372,27 @@ class TestVerify:
         error = json.loads(err)
         assert error["error"] == "InstanceError"
         assert detail in error["detail"]
+
+    @pytest.mark.parametrize("assignment, reason", [
+        ({"0": 3, "1": 3}, "client 0 assigned to non-adjacent server 3"),
+        ({"1": 3}, "client 0 is unassigned"),
+    ], ids=["non-adjacent", "unassigned"])
+    def test_invalid_assignment_is_reported(self, tmp_path, capsys, assignment, reason):
+        # disjoint-perfect k=2: clients 0, 1 on servers 2, 3 respectively
+        path, artifact = tmp_path / "dp.json", tmp_path / "bad.json"
+        run_cli(capsys, "gen", "disjoint-perfect", "--k", "2", "-o", str(path))
+        artifact.write_text(json.dumps({"assignment": assignment}))
+        code, stdout, err = run_cli(capsys, "verify", str(path), str(artifact),
+                                    "--check", "validity", "--check", "cost-reducing")
+        assert code == 1
+        assert err == ""
+        report = json.loads(stdout)
+        assert report["pass"] is False
+        # the check after the failed one still runs and reports
+        assert report["checks"] == [
+            {"check": "validity", "pass": False, "reason": reason},
+            {"check": "cost-reducing", "pass": False, "reason": reason},
+        ]
 
     def test_cost_reducing_check(self, tmp_path, capsys):
         path = tmp_path / "pair.json"

@@ -14,6 +14,7 @@ from semimatch import (
     weight_classes,
     write_instance,
 )
+from semimatch.instance import induced_subinstance
 from conftest import random_weighted
 
 
@@ -122,6 +123,18 @@ class TestWeightClasses:
         inst = build_instance([0], [1], [(0, 1)], {0: 3})
         with pytest.raises(InstanceError, match="normalize"):
             weight_classes(inst)
+
+    def test_induced_subinstance_relabels_view(self):
+        # class 1 (weight 2) holds clients 1, 3 on servers 5, 6
+        inst = build_instance(range(4), [4, 5, 6],
+                              [(0, 4), (1, 5), (1, 6), (2, 4), (3, 6)], {0: 1, 1: 2, 2: 1, 3: 2})
+        view = weight_classes(inst)[1]
+        assert (view.clients, view.servers) == ((1, 3), (5, 6))
+        assert view.edges == ((1, 5), (1, 6), (3, 6))
+        sub = induced_subinstance(view)
+        assert (sub.clients, sub.servers) == ((0, 1), (2, 3))
+        assert sub.edges == ((0, 2), (0, 3), (1, 3))
+        assert sub.is_unit_weight()
 
 
 class TestClientExpand:

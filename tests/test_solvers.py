@@ -13,6 +13,7 @@ from semimatch import (
     generate_instance,
     is_client_perfect,
     normalize_weights,
+    round_split,
     solve_backup,
     solve_sequential,
     solve_unweighted,
@@ -20,6 +21,7 @@ from semimatch import (
     solve_weighted_local,
     split_assignment_seq,
 )
+from semimatch import matching
 from semimatch.oracle import (
     opt_backup_enum,
     opt_minmax_unweighted,
@@ -27,7 +29,7 @@ from semimatch.oracle import (
     opt_split,
 )
 from semimatch.solvers import b_schedule, short_path_bound
-from conftest import random_unit, random_weighted
+from conftest import count_calls, random_unit, random_weighted
 
 
 class TestLoadVector:
@@ -259,6 +261,57 @@ class TestBackupWithOneCopy:
         assert inst.is_normalized()
         single = solve_weighted_congest(inst).mapping
         assert solve_backup(inst, 1).mapping == {c: (s,) for c, s in single.items()}
+
+
+class TestSequentialEqualsFullSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_instances(weighted=True))
+    def test_solve_sequential_rounds_the_full_split(self, inst):
+        split, _ = split_assignment_seq(inst)
+        assert solve_sequential(inst).mapping == round_split(inst, split).mapping
+
+
+def first_perfect(inst, matchings):
+    """Index in schedule order of the first client-perfect budget."""
+    budgets = sorted(matchings)
+    return next(i for i, B in enumerate(budgets) if is_client_perfect(inst, matchings[B]))
+
+
+# first client-perfect budget: B = 1 of 1, 2, 4, 8 on the chain, B = 2 on star4
+EARLY_PERFECT = pytest.mark.parametrize("inst", [
+    build_instance([0, 1, 2], [3, 4], [(0, 3), (1, 3), (1, 4), (2, 4)]),
+    generate_instance("star", n_clients=4),
+], ids=["chain", "star4"])
+
+
+class TestEarlyStop:
+    """Direct solves stop at the first client-perfect budget; the functions
+    that return matchings still solve and return every budget."""
+
+    @EARLY_PERFECT
+    def test_unit_schedule(self, monkeypatch, inst):
+        calls = count_calls(monkeypatch, matching, "eliminate_short_paths")
+        _, matchings = solve_unweighted(inst)
+        assert sorted(matchings) == b_schedule(inst.n)
+        assert len(calls) == len(matchings)
+        stop = first_perfect(inst, matchings)
+        assert stop < len(matchings) - 1
+        for solve in (lambda: solve_backup(inst, 1), lambda: solve_weighted_congest(inst)):
+            calls.clear()
+            solve()
+            assert len(calls) == stop + 1
+
+    @EARLY_PERFECT
+    def test_split_schedule(self, monkeypatch, inst):
+        calls = count_calls(monkeypatch, matching, "blocking_flow_matching")
+        _, matchings = split_assignment_seq(inst)
+        assert sorted(matchings) == b_schedule(inst.n * inst.max_weight)
+        assert len(calls) == len(matchings)
+        stop = first_perfect(inst, matchings)
+        assert stop < len(matchings) - 1
+        calls.clear()
+        solve_sequential(inst)
+        assert len(calls) == stop + 1
 
 
 class TestMultiAssignment:
