@@ -111,8 +111,8 @@ def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> di
 def cmd_solve(args) -> int:
     algo = by_name(args.algo)
     algo.check_request(args.simulate, args.r)
-    if args.dump_matchings and (args.simulate or not algo.dumps_matchings):
-        dumpers = " or ".join(a.name for a in REGISTRY if a.dumps_matchings)
+    if args.dump_matchings and (args.simulate or algo.dump is None):
+        dumpers = " or ".join(a.name for a in REGISTRY if a.dump)
         raise ValueError(f"--dump-matchings needs a direct {dumpers} solve")
     inst, normalized = algo.prepare(read_instance(args.instance))
 
@@ -126,8 +126,10 @@ def cmd_solve(args) -> int:
     if args.simulate:
         result, trace = run_simulation(inst, algo.trace_id, ModelSpec(model=algo.model),
                                        r=args.r)
+    elif args.dump_matchings:
+        result, matchings = algo.dump(inst)
     else:
-        result, matchings = algo.solve(inst, args.r)
+        result = algo.solve(inst, args.r)
     elapsed = time.perf_counter() - start
 
     lv = result.load_vector()
@@ -221,6 +223,17 @@ def _load_matching_artifact(inst: Instance, doc: dict) -> CapMatching:
     return CapMatching(inst, profile, mult)
 
 
+def _alpha(param: str) -> float:
+    """The ALPHA of ``--check expansion:ALPHA`` (default 2)."""
+    try:
+        alpha = float(param) if param else 2.0
+    except ValueError:
+        alpha = math.nan
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"expansion ALPHA must be a finite number > 1, got {param!r}")
+    return alpha
+
+
 def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
     with open(args.artifact, encoding="utf-8") as fh:
@@ -251,32 +264,37 @@ def cmd_verify(args) -> int:
                 if verdict is not True:
                     entry["witness"] = verdict.vertices
             elif name == "expansion":
-                alpha = float(param) if param else 2.0
+                alpha = _alpha(param)
                 matching = _load_matching_artifact(inst, doc)
                 base_tau = {s: math.ceil(t / alpha) for s, t in matching.profile.tau.items()}
-                verdict = oracle_mod.verify_expansion_lemma(
-                    inst, matching.profile.kappa, base_tau, alpha, matching
-                )
-                entry["pass"] = verdict is True
-                if verdict is not True:
-                    entry["witness_client"] = verdict.client
+                try:
+                    verdict = oracle_mod.verify_expansion_lemma(
+                        inst, matching.profile.kappa, base_tau, alpha, matching
+                    )
+                except oracle_mod.PreconditionError as exc:
+                    entry["pass"], entry["reason"] = False, f"{exc} for tau / {alpha:g} rounded up"
+                else:
+                    entry["pass"] = verdict is True
+                    if verdict is not True:
+                        entry["witness_client"] = verdict.client
             elif name == "budget":
-                algo = simulated(doc["algorithm"])
-                model = ModelSpec(model=algo.model)
-                expected = round_budget(doc["algorithm"], doc["n"],
-                                        n_expanded=doc.get("nExpanded"))
-                trace = SimTrace(doc["algorithm"], doc["n"], doc.get("nExpanded", doc["n"]),
-                                 doc["chargedRounds"], doc["phases"], doc["simulatedMessages"])
+                trace = SimTrace.from_json(doc)
+                algo = simulated(trace.algorithm)
+                expected = round_budget(trace.algorithm, trace.n, trace.n_expanded)
                 # the trace must be of the instance this algorithm would solve
                 work, _ = algo.prepare(inst)
                 solved = {"n": work.n, "nExpanded": work.total_weight + len(work.servers)}
                 traced = {"n": trace.n, "nExpanded": trace.n_expanded}
-                entry["pass"] = (doc["chargedRounds"] == expected
-                                 and verify_message_budget(trace, model)
+                phase_sum = sum(p["rounds"] for p in trace.phases)
+                entry["pass"] = (trace.charged_rounds == expected == phase_sum
+                                 and verify_message_budget(trace, ModelSpec(model=algo.model))
                                  and traced == solved)
                 entry["expected_rounds"] = expected
                 if traced != solved:
                     entry["reason"] = f"trace of another instance: {traced}, instance {solved}"
+                elif phase_sum != trace.charged_rounds:
+                    entry["reason"] = (f"phase rounds sum to {phase_sum}, "
+                                       f"trace charges {trace.charged_rounds}")
             else:
                 raise ValueError(f"unknown check {name!r}")
         except (KeyError, TypeError) as exc:
@@ -327,6 +345,10 @@ def cmd_bench(args) -> int:
         if entry.get("generator") not in GENERATORS:
             raise ValueError(f"unknown generator {entry.get('generator')!r}; "
                              f"expected one of {GENERATORS}")
+        if not isinstance(entry.get("params", {}), dict):
+            raise ValueError(f"suite entry params must be an object, got {entry['params']!r}")
+        if "r" in entry and not (type(entry["r"]) is int and entry["r"] >= 1):
+            raise ValueError(f"suite entry r must be a positive int, got {entry['r']!r}")
     rows = []
     for entry, algo in zip(suite, algos):
         inst = generate_instance(entry["generator"], seed=entry.get("seed", 0),
@@ -338,7 +360,7 @@ def cmd_bench(args) -> int:
                                            r=entry.get("r"))
             charged = trace.charged_rounds
         else:
-            result, _ = algo.solve(work, entry.get("r"))
+            result = algo.solve(work, entry.get("r"))
             charged = ""
         elapsed = time.perf_counter_ns() - start
         lv = result.load_vector()

@@ -252,23 +252,35 @@ def generate_instance(name: str, seed: int = 0, **params) -> Instance:
     up with degree >= 1 (a fallback edge is added when sampling leaves a
     client isolated).
     """
+    def param(key: str, kind, default=None):
+        """``params[key]`` as ``kind``; required unless it has a default."""
+        if key not in params:
+            if default is None:
+                raise InstanceError(f"{name} requires parameter {key!r}")
+            return default
+        try:
+            return kind(params[key])
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"{name} parameter {key!r} must be a number, "
+                                f"got {params[key]!r}") from exc
+
     rng = random.Random(seed)
     if name == "star":
-        nc = int(params["n_clients"])
+        nc = param("n_clients", int)
         if nc < 1:
             raise InstanceError("star requires n_clients >= 1")
         return build_instance(range(nc), [nc], [(c, nc) for c in range(nc)])
     if name == "disjoint-perfect":
-        k = int(params["k"])
+        k = param("k", int)
         if k < 1:
             raise InstanceError("disjoint-perfect requires k >= 1")
         return build_instance(range(k), range(k, 2 * k), [(i, k + i) for i in range(k)])
     if name == "random-bipartite":
-        return _random_bipartite(rng, int(params["n_clients"]), int(params["n_servers"]),
-                                 float(params["p"]))
+        return _random_bipartite(rng, param("n_clients", int), param("n_servers", int),
+                                 param("p", float))
     if name == "power-law-degrees":
-        nc, ns = int(params["n_clients"]), int(params["n_servers"])
-        exponent = float(params.get("exponent", 2.0))
+        nc, ns = param("n_clients", int), param("n_servers", int)
+        exponent = param("exponent", float, 2.0)
         if nc < 1 or ns < 1 or exponent <= 0:
             raise InstanceError("power-law-degrees parameters out of range")
         servers = list(range(nc, nc + ns))
@@ -282,11 +294,11 @@ def generate_instance(name: str, seed: int = 0, **params) -> Instance:
                 edges.add((c, s))
         return build_instance(range(nc), servers, sorted(edges))
     if name == "weighted-random":
-        max_w = int(params.get("max_weight", 8))
+        max_w = param("max_weight", int, 8)
         if max_w < 1:
             raise InstanceError("weighted-random requires max_weight >= 1")
-        base = _random_bipartite(rng, int(params["n_clients"]), int(params["n_servers"]),
-                                 float(params["p"]))
+        base = _random_bipartite(rng, param("n_clients", int), param("n_servers", int),
+                                 param("p", float))
         weights = {c: rng.randint(1, max_w) for c in base.clients}
         return build_instance(base.clients, base.servers, base.edges, weights)
     raise InstanceError(f"unknown generator {name!r}; expected one of {GENERATORS}")

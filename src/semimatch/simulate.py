@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .instance import Instance, normalize_weights
+from .instance import Instance, InstanceError, normalize_weights
 from .rounding import round_split
 from .solvers import (
     Assignment,
@@ -26,6 +26,7 @@ from .solvers import (
     _ceil_log2,
     b_schedule,
     solve_backup,
+    solve_sequential,
     solve_unweighted,
     solve_weighted_congest,
     solve_weighted_local,
@@ -99,10 +100,43 @@ class SimTrace:
             "simulatedMessages": self.messages,
         }
 
+    @classmethod
+    def from_json(cls, doc) -> "SimTrace":
+        """The trace ``to_json`` wrote, checked field by field in one pass;
+        ``InstanceError`` names the first field of the wrong shape."""
+        _check_fields("trace", doc, _TRACE_FIELDS)
+        for i, phase in enumerate(doc["phases"]):
+            _check_fields(f"trace phases[{i}]", phase, _PHASE_FIELDS)
+        for i, msg in enumerate(doc["simulatedMessages"]):
+            _check_fields(f"trace simulatedMessages[{i}]", msg, _MESSAGE_FIELDS)
+            if len(msg["edge"]) != 2 or any(type(v) is not int for v in msg["edge"]):
+                raise InstanceError(f"trace simulatedMessages[{i}].edge must be "
+                                    f"[int, int], got {msg['edge']!r}")
+        return cls(doc["algorithm"], doc["n"], doc["nExpanded"], doc["chargedRounds"],
+                   doc["phases"], doc["simulatedMessages"])
+
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=1)
             fh.write("\n")
+
+
+# key -> exact type of each field of a trace file's objects (ints exclude bools)
+_TRACE_FIELDS = {"algorithm": str, "n": int, "nExpanded": int, "chargedRounds": int,
+                 "phases": list, "simulatedMessages": list}
+_PHASE_FIELDS = {"label": str, "rounds": int}
+_MESSAGE_FIELDS = {"round": int, "edge": list, "bits": int}
+
+
+def _check_fields(where: str, obj, fields: dict) -> None:
+    if not isinstance(obj, dict):
+        raise InstanceError(f"{where} must be an object, got {type(obj).__name__}")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise InstanceError(f"{where}.{key} is missing")
+        if type(obj[key]) is not kind:
+            raise InstanceError(f"{where}.{key} must be of type {kind.__name__}, "
+                                f"got {obj[key]!r}")
 
 
 def _congest_charge(n: int) -> int:
@@ -135,14 +169,24 @@ def _sequential(inst: Instance):
     return round_split(inst, split), matchings
 
 
+def _unweighted(inst: Instance) -> Assignment:
+    """``solve_unweighted``'s assignment without its later budgets: the same
+    schedule run by ``solve_backup`` with r = 1, stopped at the first
+    client-perfect budget."""
+    if not inst.is_unit_weight():
+        raise ValueError("solve_unweighted requires unit weights")
+    return Assignment(inst, {c: s for c, (s,) in solve_backup(inst, 1).mapping.items()})
+
+
 @dataclass(frozen=True)
 class Algorithm:
     """One algorithm of the suite and everything its callers need to know.
 
-    ``solve(inst, r)`` returns (result, per-budget matchings or None).  The
-    table's entries call their solvers through this module's globals at call
-    time, so a caller that rebinds those names (a tracer, a test spy) sees
-    every call.
+    ``solve(inst, r)`` returns the result and stops at the first
+    client-perfect budget; ``dump(inst)``, where set, returns (result, every
+    budget's matching).  The table's entries call their solvers through this
+    module's globals at call time, so a caller that rebinds those names (a
+    tracer, a test spy) sees every call.
     """
 
     name: str  # CLI --algo
@@ -151,7 +195,7 @@ class Algorithm:
     model: str | None = None  # CONGEST or LOCAL; None for a sequential algorithm
     phases: Callable | None = None  # (n, n_expanded, r) -> [(label, charged rounds)]
     unit_weights: bool = False  # unit weights only, else power-of-two normalized
-    dumps_matchings: bool = False  # solve returns the per-budget matchings
+    dump: Callable | None = None  # inst -> (result, {budget: matching})
     takes_r: bool = False  # needs a replication factor r
 
     def prepare(self, inst: Instance) -> tuple[Instance, bool]:
@@ -176,18 +220,18 @@ class Algorithm:
 
 
 REGISTRY = (
-    Algorithm("seq", "seq", lambda inst, r: _sequential(inst), dumps_matchings=True),
-    Algorithm("congest-unweighted", "congest-unweighted", lambda inst, r: solve_unweighted(inst),
-              "CONGEST", _per_budget(""), unit_weights=True, dumps_matchings=True),
+    Algorithm("seq", "seq", lambda inst, r: solve_sequential(inst), dump=_sequential),
+    Algorithm("congest-unweighted", "congest-unweighted", lambda inst, r: _unweighted(inst),
+              "CONGEST", _per_budget(""), unit_weights=True,
+              dump=lambda inst: solve_unweighted(inst)),
     # classes run in parallel over edge-disjoint subgraphs; every class
     # executes the full budget schedule, so the maximum equals one
     # schedule's worth of charges
-    Algorithm("congest-weighted", "congest-weighted",
-              lambda inst, r: (solve_weighted_congest(inst), None),
+    Algorithm("congest-weighted", "congest-weighted", lambda inst, r: solve_weighted_congest(inst),
               "CONGEST", _per_budget(" (max over parallel classes)")),
-    Algorithm("local-weighted", "local-weighted",
-              lambda inst, r: (solve_weighted_local(inst), None), "LOCAL", _local_phases),
-    Algorithm("backup", "congest-backup", lambda inst, r: (solve_backup(inst, r), None),
+    Algorithm("local-weighted", "local-weighted", lambda inst, r: solve_weighted_local(inst),
+              "LOCAL", _local_phases),
+    Algorithm("backup", "congest-backup", lambda inst, r: solve_backup(inst, r),
               "CONGEST", _per_budget(" r={r}"), takes_r=True),
 )
 _BY_NAME = {a.name: a for a in REGISTRY}
@@ -245,7 +289,7 @@ def run_simulation(
     limit = model.bandwidth_bits(n)
     msg_bits = _ceil_log2(max(2, n))
 
-    result, _ = algo.solve(inst, r)
+    result = algo.solve(inst, r)
     for label, rounds in algo.phases(n, n_expanded, r):
         trace.charge(label, rounds)
 

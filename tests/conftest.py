@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from semimatch import build_instance, generate_instance, normalize_weights
+from semimatch import build_instance, generate_instance, is_client_perfect, normalize_weights
 
 
 @pytest.fixture
@@ -31,6 +31,12 @@ def count_calls(monkeypatch, module, name):
         if mod_name.split(".")[0] == "semimatch" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def first_perfect(inst, matchings):
+    """Index in schedule order of the first client-perfect budget."""
+    budgets = sorted(matchings)
+    return next(i for i, B in enumerate(budgets) if is_client_perfect(inst, matchings[B]))
 
 
 def random_unit(seed, nc=8, ns=4, p=0.5):

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from semimatch import build_instance, solvers, write_instance
+from semimatch import build_instance, generate_instance, matching, solvers, write_instance
 from semimatch.cli import main
-from conftest import count_calls, random_unit, random_weighted
+from conftest import count_calls, first_perfect, random_unit, random_weighted
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +51,20 @@ class TestGen:
                                "-o", str(tmp_path / "no" / "such" / "dir" / "x.json"))
         assert code == 1
         assert json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv,missing", [
+        (("random-bipartite", "--clients", "5", "--servers", "2"), "p"),
+        (("star",), "n_clients"),
+    ])
+    def test_missing_parameter_is_error(self, tmp_path, capsys, argv, missing):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "gen", *argv, "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert f"requires parameter '{missing}'" in error["detail"]
+        assert not out.exists()
 
 
 class TestSolveExitCodes:
@@ -141,6 +155,49 @@ class TestDumpMatchings:
         assert code == 0
         assert len(calls) == 1
         assert sorted(dump_dir.glob("B*.json"))
+
+
+# suite entries of the early-stop instances; the chain has no generator
+EARLY_PERFECT = {
+    "chain": None,
+    "star4": {"generator": "star", "params": {"n_clients": 4}},
+    "random": {"generator": "random-bipartite", "seed": 3,
+               "params": {"n_clients": 30, "n_servers": 10, "p": 0.2}},
+}
+
+
+class TestEarlyStop:
+    """CLI solves, simulations and bench rows call the matching primitive
+    once per budget up to the first client-perfect one."""
+
+    @pytest.mark.parametrize("algo,full,primitive", [
+        ("seq", "split_assignment_seq", "blocking_flow_matching"),
+        ("congest-unweighted", "solve_unweighted", "eliminate_short_paths"),
+    ])
+    @pytest.mark.parametrize("name", list(EARLY_PERFECT))
+    def test_stops_at_first_client_perfect_budget(self, chain, tmp_path, capsys, monkeypatch,
+                                                  name, algo, full, primitive):
+        spec = EARLY_PERFECT[name]
+        inst = chain if spec is None else generate_instance(
+            spec["generator"], seed=spec.get("seed", 0), **spec["params"])
+        _, matchings = getattr(solvers, full)(inst)
+        stop = first_perfect(inst, matchings)
+        assert stop < len(matchings) - 1
+        path = tmp_path / "inst.json"
+        write_instance(inst, path)
+        calls = count_calls(monkeypatch, matching, primitive)
+        runs = [("solve", str(path), "--algo", algo)]
+        if algo == "congest-unweighted":
+            runs.append(("solve", str(path), "--algo", algo, "--simulate"))
+        if spec is not None:
+            suite_path = tmp_path / "suite.json"
+            suite_path.write_text(json.dumps([{**spec, "algo": algo}]))
+            runs.append(("bench", "--suite", str(suite_path), "-o", str(tmp_path / "b.csv")))
+        for argv in runs:
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert len(calls) == stop + 1, argv
 
 
 class TestSolveReports:
@@ -243,6 +300,31 @@ class TestVerify:
                                   "--check", "expansion:2")
         assert code == 0
 
+    def test_expansion_without_base_matching_is_reported(self, unit_file, tmp_path, capsys):
+        dump_dir = tmp_path / "dumps"
+        run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                "--dump-matchings", str(dump_dir))
+        # tau = 2 at B = 1, so tau / 100 rounds up to 1 per server: 4 servers
+        # cannot take 8 clients
+        code, stdout, _ = run_cli(capsys, "verify", unit_file, str(dump_dir / "B1.json"),
+                                  "--check", "expansion:100", "--check", "no-short-aug-paths:17")
+        assert code == 1
+        expansion, short_paths = json.loads(stdout)["checks"]
+        assert expansion["pass"] is False
+        assert "no client-perfect base matching" in expansion["reason"]
+        assert short_paths["pass"] is True
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1", "0.5", "-2", "abc"])
+    def test_expansion_rejects_bad_alpha(self, unit_file, tmp_path, capsys, alpha):
+        dump_dir = tmp_path / "dumps"
+        run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                "--dump-matchings", str(dump_dir))
+        code, stdout, err = run_cli(capsys, "verify", unit_file, str(dump_dir / "B1.json"),
+                                    "--check", f"expansion:{alpha}")
+        assert code == 1
+        assert stdout == ""
+        assert "ALPHA must be a finite number > 1" in json.loads(err)["detail"]
+
     def test_budget_check(self, unit_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
@@ -269,6 +351,64 @@ class TestVerify:
         assert "another instance" in entry["reason"]
         code, _, _ = run_cli(capsys, "verify", str(big), str(trace_path), "--check", "budget")
         assert code == 0
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda d: d.update(n=11.0), "trace.n"),
+        (lambda d: d.update(n=True), "trace.n"),
+        (lambda d: d.pop("nExpanded"), "trace.nExpanded"),
+        (lambda d: d.update(chargedRounds="5"), "trace.chargedRounds"),
+        (lambda d: d.update(algorithm=["congest-unweighted"]), "trace.algorithm"),
+        (lambda d: d.update(phases=5), "trace.phases"),
+        (lambda d: d["phases"].append(3), "trace phases[6]"),
+        (lambda d: d["phases"][0].update(rounds=1.5), "trace phases[0].rounds"),
+        (lambda d: d["phases"][1].pop("label"), "trace phases[1].label"),
+        (lambda d: d.update(simulatedMessages={}), "trace.simulatedMessages"),
+        (lambda d: d["simulatedMessages"][0].update(edge=[1]), "trace simulatedMessages[0].edge"),
+        (lambda d: d["simulatedMessages"][0].update(edge=[0, "4"]),
+         "trace simulatedMessages[0].edge"),
+        (lambda d: d["simulatedMessages"][2].update(bits=True),
+         "trace simulatedMessages[2].bits"),
+        (lambda d: d["simulatedMessages"][2].pop("round"), "trace simulatedMessages[2].round"),
+    ])
+    def test_budget_check_rejects_bad_trace_fields(self, unit_file, tmp_path, capsys, edit,
+                                                   field):
+        trace_path = tmp_path / "trace.json"
+        run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                "--simulate", "--trace-out", str(trace_path))
+        doc = json.loads(trace_path.read_text())
+        edit(doc)
+        trace_path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "verify", unit_file, str(trace_path),
+                                    "--check", "budget")
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert error["detail"].startswith(field)
+
+    def test_budget_check_rejects_non_object_trace(self, unit_file, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text("[1]")
+        code, _, err = run_cli(capsys, "verify", unit_file, str(trace_path),
+                               "--check", "budget")
+        assert code == 1
+        assert json.loads(err) == {"error": "InstanceError",
+                                   "detail": "trace must be an object, got list"}
+
+    def test_budget_check_fails_when_phases_miss_the_charge(self, unit_file, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                "--simulate", "--trace-out", str(trace_path))
+        doc = json.loads(trace_path.read_text())
+        doc["phases"][0]["rounds"] += 1
+        trace_path.write_text(json.dumps(doc))
+        code, stdout, _ = run_cli(capsys, "verify", unit_file, str(trace_path),
+                                  "--check", "budget")
+        assert code == 1
+        entry = json.loads(stdout)["checks"][0]
+        assert entry["pass"] is False
+        assert entry["reason"] == (f"phase rounds sum to {doc['chargedRounds'] + 1}, "
+                                   f"trace charges {doc['chargedRounds']}")
 
     @pytest.mark.parametrize("edge_cap", [{"0,4": 1}, True, 0, 1.5])
     def test_matching_artifact_rejects_bad_edge_cap(self, unit_file, tmp_path, capsys,
@@ -462,6 +602,12 @@ class TestBench:
         ({"algo": "seq", "simulate": True}, "nothing to simulate"),
         ({"algo": "backup"}, "replication factor"),
         ({"algo": "backup", "simulate": True}, "replication factor"),
+        ({"algo": "seq", "params": [1]}, "params must be an object"),
+        ({"algo": "seq", "params": None}, "params must be an object"),
+        ({"algo": "backup", "r": "2"}, "r must be a positive int"),
+        ({"algo": "backup", "r": 0}, "r must be a positive int"),
+        ({"algo": "backup", "r": True, "simulate": True}, "r must be a positive int"),
+        ({"algo": "backup", "r": 1.0}, "r must be a positive int"),
     ])
     def test_suite_rejects_bad_entry(self, tmp_path, capsys, entry, detail):
         star = {"generator": "star", "params": {"n_clients": 5}}
@@ -492,6 +638,22 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
         assert code == 1
         assert "unknown generator" in json.loads(err)["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params,detail", [
+        (None, "star requires parameter 'n_clients'"),
+        ({"n_clients": [5]}, "star parameter 'n_clients' must be a number, got [5]"),
+    ])
+    def test_suite_entry_missing_generator_parameter(self, tmp_path, capsys, params, detail):
+        entry = {"generator": "star", "algo": "seq"}
+        if params is not None:
+            entry["params"] = params
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([entry]))
+        out = tmp_path / "bench.csv"
+        code, _, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 1
+        assert json.loads(err) == {"error": "InstanceError", "detail": detail}
         assert not out.exists()
 
     def test_suite_backup_r_direct_and_simulated(self, tmp_path, capsys):

@@ -198,6 +198,22 @@ class TestGenerators:
         with pytest.raises(InstanceError, match="unknown generator"):
             generate_instance("nope")
 
+    @pytest.mark.parametrize("name,params,missing", [
+        ("random-bipartite", {"n_clients": 5, "n_servers": 2}, "p"),
+        ("star", {}, "n_clients"),
+        ("disjoint-perfect", {}, "k"),
+        ("power-law-degrees", {"n_clients": 5}, "n_servers"),
+        ("weighted-random", {"n_servers": 2, "p": 0.5}, "n_clients"),
+    ])
+    def test_missing_parameter_named(self, name, params, missing):
+        with pytest.raises(InstanceError, match=f"{name} requires parameter '{missing}'"):
+            generate_instance(name, **params)
+
+    @pytest.mark.parametrize("value", [[3], None, "x"])
+    def test_non_numeric_parameter_named(self, value):
+        with pytest.raises(InstanceError, match="star parameter 'n_clients' must be a number"):
+            generate_instance("star", n_clients=value)
+
 
 class TestFileIO:
     def test_round_trip(self, tmp_path, star4):

@@ -29,7 +29,7 @@ from semimatch.oracle import (
     opt_split,
 )
 from semimatch.solvers import b_schedule, short_path_bound
-from conftest import count_calls, random_unit, random_weighted
+from conftest import count_calls, first_perfect, random_unit, random_weighted
 
 
 class TestLoadVector:
@@ -269,12 +269,6 @@ class TestSequentialEqualsFullSchedule:
     def test_solve_sequential_rounds_the_full_split(self, inst):
         split, _ = split_assignment_seq(inst)
         assert solve_sequential(inst).mapping == round_split(inst, split).mapping
-
-
-def first_perfect(inst, matchings):
-    """Index in schedule order of the first client-perfect budget."""
-    budgets = sorted(matchings)
-    return next(i for i, B in enumerate(budgets) if is_client_perfect(inst, matchings[B]))
 
 
 # first client-perfect budget: B = 1 of 1, 2, 4, 8 on the chain, B = 2 on star4
