@@ -27,7 +27,7 @@ from .matching import (
     is_client_perfect,
 )
 from .rounding import SplitAssignment, cancel_cycles, round_split, star_round
-from .simulate import ModelSpec, SimTrace, round_budget, run_simulation, verify_message_budget
+from .simulate import SimTrace, round_budget, run_simulation, verify_message_budget
 from .solvers import (
     Assignment,
     InfeasibleError,

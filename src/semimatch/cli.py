@@ -27,7 +27,6 @@ from .matching import CapacityProfile, CapMatching
 from .simulate import (
     REGISTRY,
     Algorithm,
-    ModelSpec,
     SimTrace,
     by_name,
     round_budget,
@@ -60,20 +59,11 @@ def _norms(lv, extra_p=()) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_GEN_PARAMS = ("n_clients", "n_servers", "p", "k", "exponent", "max_weight")
+
+
 def cmd_gen(args) -> int:
-    params = {}
-    if args.clients is not None:
-        params["n_clients"] = args.clients
-    if args.servers is not None:
-        params["n_servers"] = args.servers
-    if args.p is not None:
-        params["p"] = args.p
-    if args.k is not None:
-        params["k"] = args.k
-    if args.exponent is not None:
-        params["exponent"] = args.exponent
-    if args.max_weight is not None:
-        params["max_weight"] = args.max_weight
+    params = {key: getattr(args, key) for key in _GEN_PARAMS if getattr(args, key) is not None}
     inst = generate_instance(args.generator, seed=args.seed, **params)
     write_instance(inst, args.out)
     print(json.dumps({"digest": instance_digest(inst), "n": inst.n, "m": inst.m}))
@@ -124,8 +114,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     trace = matchings = None
     if args.simulate:
-        result, trace = run_simulation(inst, algo.trace_id, ModelSpec(model=algo.model),
-                                       r=args.r)
+        result, trace = run_simulation(inst, algo.trace_id, args.r)
     elif args.dump_matchings:
         result, matchings = algo.dump(inst)
     else:
@@ -283,11 +272,11 @@ def cmd_verify(args) -> int:
                 expected = round_budget(trace.algorithm, trace.n, trace.n_expanded)
                 # the trace must be of the instance this algorithm would solve
                 work, _ = algo.prepare(inst)
-                solved = {"n": work.n, "nExpanded": work.total_weight + len(work.servers)}
+                solved = {"n": work.n, "nExpanded": work.n_expanded}
                 traced = {"n": trace.n, "nExpanded": trace.n_expanded}
                 phase_sum = sum(p["rounds"] for p in trace.phases)
                 entry["pass"] = (trace.charged_rounds == expected == phase_sum
-                                 and verify_message_budget(trace, ModelSpec(model=algo.model))
+                                 and verify_message_budget(trace)
                                  and traced == solved)
                 entry["expected_rounds"] = expected
                 if traced != solved:
@@ -347,6 +336,11 @@ def cmd_bench(args) -> int:
                              f"expected one of {GENERATORS}")
         if not isinstance(entry.get("params", {}), dict):
             raise ValueError(f"suite entry params must be an object, got {entry['params']!r}")
+        if "seed" in entry.get("params", {}):
+            raise ValueError("suite entry params must not contain 'seed'; "
+                             "give it as the entry's seed")
+        if "seed" in entry and type(entry["seed"]) is not int:
+            raise ValueError(f"suite entry seed must be an int, got {entry['seed']!r}")
         if "r" in entry and not (type(entry["r"]) is int and entry["r"] >= 1):
             raise ValueError(f"suite entry r must be a positive int, got {entry['r']!r}")
     rows = []
@@ -356,8 +350,7 @@ def cmd_bench(args) -> int:
         work, _ = algo.prepare(inst)
         start = time.perf_counter_ns()
         if entry.get("simulate"):
-            result, trace = run_simulation(work, algo.trace_id, ModelSpec(model=algo.model),
-                                           r=entry.get("r"))
+            result, trace = run_simulation(work, algo.trace_id, entry.get("r"))
             charged = trace.charged_rounds
         else:
             result = algo.solve(work, entry.get("r"))
@@ -401,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("generator", choices=GENERATORS)
-    gen.add_argument("--clients", type=int)
-    gen.add_argument("--servers", type=int)
+    gen.add_argument("--clients", type=int, dest="n_clients")
+    gen.add_argument("--servers", type=int, dest="n_servers")
     gen.add_argument("--p", type=float)
     gen.add_argument("--k", type=int)
     gen.add_argument("--exponent", type=float)

@@ -89,6 +89,12 @@ class Instance:
     def total_weight(self) -> int:
         return sum(self.weight[c] for c in self.clients)
 
+    @property
+    def n_expanded(self) -> int:
+        """Vertex count of the client-expanded graph: w(c) copies of each
+        client c, plus the servers."""
+        return self.total_weight + len(self.servers)
+
     def is_unit_weight(self) -> bool:
         return all(self.weight[c] == 1 for c in self.clients)
 
@@ -234,35 +240,44 @@ def induced_subinstance(view: WeightClassView) -> Instance:
 # Generators
 # ---------------------------------------------------------------------------
 
-GENERATORS = (
-    "random-bipartite",
-    "star",
-    "disjoint-perfect",
-    "power-law-degrees",
-    "weighted-random",
-)
+# generator -> the parameters it takes
+_GENERATOR_PARAMS = {
+    "random-bipartite": ("n_clients", "n_servers", "p"),
+    "star": ("n_clients",),
+    "disjoint-perfect": ("k",),
+    "power-law-degrees": ("n_clients", "n_servers", "exponent"),
+    "weighted-random": ("n_clients", "n_servers", "p", "max_weight"),
+}
+GENERATORS = tuple(_GENERATOR_PARAMS)
 
 
 def generate_instance(name: str, seed: int = 0, **params) -> Instance:
-    """Deterministic instance generators.
-
-    Supported: random-bipartite(n_clients, n_servers, p), star(n_clients),
-    disjoint-perfect(k), power-law-degrees(n_clients, n_servers, exponent),
-    weighted-random(n_clients, n_servers, p, max_weight).  Every client ends
-    up with degree >= 1 (a fallback edge is added when sampling leaves a
-    client isolated).
+    """Deterministic instance generators, taking the parameters
+    ``_GENERATOR_PARAMS`` lists.  Every client ends up with degree >= 1 (a
+    fallback edge is added when sampling leaves a client isolated).
+    ``InstanceError`` names a parameter that is missing, of the wrong type
+    or not taken by the generator.
     """
+    if name not in _GENERATOR_PARAMS:
+        raise InstanceError(f"unknown generator {name!r}; expected one of {GENERATORS}")
+    unknown = sorted(set(params) - set(_GENERATOR_PARAMS[name]))
+    if unknown:
+        raise InstanceError(f"{name} takes no parameter {unknown[0]!r}; "
+                            f"expected {', '.join(_GENERATOR_PARAMS[name])}")
+
     def param(key: str, kind, default=None):
-        """``params[key]`` as ``kind``; required unless it has a default."""
+        """``params[key]``, an int (``kind`` int) or an int or float (``kind``
+        float), never a bool; required unless it has a default."""
         if key not in params:
             if default is None:
                 raise InstanceError(f"{name} requires parameter {key!r}")
             return default
-        try:
-            return kind(params[key])
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"{name} parameter {key!r} must be a number, "
-                                f"got {params[key]!r}") from exc
+        value = params[key]
+        if kind is int and type(value) in (bool, float):
+            raise InstanceError(f"{name} parameter {key!r} must be an integer, got {value!r}")
+        if type(value) not in (int, float):
+            raise InstanceError(f"{name} parameter {key!r} must be a number, got {value!r}")
+        return kind(value)
 
     rng = random.Random(seed)
     if name == "star":
@@ -293,15 +308,14 @@ def generate_instance(name: str, seed: int = 0, **params) -> Instance:
             for s in rng.choices(servers, weights=attach, k=deg):
                 edges.add((c, s))
         return build_instance(range(nc), servers, sorted(edges))
-    if name == "weighted-random":
-        max_w = param("max_weight", int, 8)
-        if max_w < 1:
-            raise InstanceError("weighted-random requires max_weight >= 1")
-        base = _random_bipartite(rng, param("n_clients", int), param("n_servers", int),
-                                 param("p", float))
-        weights = {c: rng.randint(1, max_w) for c in base.clients}
-        return build_instance(base.clients, base.servers, base.edges, weights)
-    raise InstanceError(f"unknown generator {name!r}; expected one of {GENERATORS}")
+    # weighted-random
+    max_w = param("max_weight", int, 8)
+    if max_w < 1:
+        raise InstanceError("weighted-random requires max_weight >= 1")
+    base = _random_bipartite(rng, param("n_clients", int), param("n_servers", int),
+                             param("p", float))
+    weights = {c: rng.randint(1, max_w) for c in base.clients}
+    return build_instance(base.clients, base.servers, base.edges, weights)
 
 
 def _random_bipartite(rng: random.Random, nc: int, ns: int, p: float) -> Instance:

@@ -9,7 +9,9 @@ message per assigned edge, riding in the last charged round so that the total
 charge matches the closed-form budget exactly.
 
 ``REGISTRY`` is the one table of the suite's algorithms; the CLI, its bench
-and ``run_simulation`` all dispatch through it.
+and ``run_simulation`` all dispatch through it.  Each distributed entry names
+its model, which fixes the per-edge bandwidth of a simulation: 32 * ceil(log2 n)
+bits per message in CONGEST, unbounded in LOCAL.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .solvers import (
     MultiAssignment,
     _ceil_log2,
     b_schedule,
+    short_path_bound,
     solve_backup,
     solve_sequential,
     solve_unweighted,
@@ -32,10 +35,6 @@ from .solvers import (
     solve_weighted_local,
     split_assignment_seq,
 )
-
-
-class ModelMismatchError(Exception):
-    pass
 
 
 class BandwidthExceededError(Exception):
@@ -46,26 +45,6 @@ class BandwidthExceededError(Exception):
         self.round_index = round_index
         self.edge = edge
         self.bits = bits
-
-
-@dataclass
-class ModelSpec:
-    """CONGEST or LOCAL; CONGEST bandwidth is c * ceil(log2 n) bits per edge
-    per round (c configurable, default 32)."""
-
-    model: str = "CONGEST"
-    bandwidth_constant: int = 32
-
-    def __post_init__(self) -> None:
-        if self.model not in ("CONGEST", "LOCAL"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "CONGEST" and self.bandwidth_constant < 1:
-            raise ValueError("CONGEST bandwidth must be positive")
-
-    def bandwidth_bits(self, n: int) -> int | None:
-        if self.model == "LOCAL":
-            return None
-        return self.bandwidth_constant * _ceil_log2(max(2, n))
 
 
 @dataclass
@@ -140,13 +119,11 @@ def _check_fields(where: str, obj, fields: dict) -> None:
 
 
 def _congest_charge(n: int) -> int:
-    k = 4 * _ceil_log2(n) + 1
-    return k**3 * _ceil_log2(n)
+    return short_path_bound(n) ** 3 * _ceil_log2(n)
 
 
 def _local_charge(n: int) -> int:
-    k = 4 * _ceil_log2(n) + 1
-    return k**2 * _ceil_log2(n)
+    return short_path_bound(n) ** 2 * _ceil_log2(n)
 
 
 def _per_budget(suffix: str):
@@ -268,29 +245,31 @@ def round_budget(algorithm: str, n: int, n_expanded: int | None = None) -> int:
     return _local_charge(nt) + _local_charge(n)
 
 
-def run_simulation(
-    inst: Instance,
-    algorithm: str,
-    model: ModelSpec,
-    r: int = 2,
-):
-    """Execute a solver under round accounting.
+def _bandwidth_bits(algorithm: str, n: int) -> int | None:
+    """Bits one message may carry per edge per round in ``algorithm``'s
+    model: 32 * ceil(log2 n) in CONGEST, None (unbounded) in LOCAL."""
+    if simulated(algorithm).model == "LOCAL":
+        return None
+    return 32 * _ceil_log2(max(2, n))
+
+
+def run_simulation(inst: Instance, algorithm: str, r: int | None = None):
+    """Execute a solver under round accounting, in the model the algorithm's
+    table entry names; ``r`` is required by congest-backup only.
 
     Returns (result, SimTrace).  The result is identical to the direct solver
     call; only the accounting differs.
     """
     algo = simulated(algorithm)
-    if model.model != algo.model:
-        raise ModelMismatchError(f"{algorithm} requires the {algo.model} model")
+    algo.check_request(True, r)
 
     n = inst.n
-    n_expanded = inst.total_weight + len(inst.servers)
-    trace = SimTrace(algorithm, n, n_expanded)
-    limit = model.bandwidth_bits(n)
+    trace = SimTrace(algorithm, n, inst.n_expanded)
+    limit = _bandwidth_bits(algorithm, n)
     msg_bits = _ceil_log2(max(2, n))
 
     result = algo.solve(inst, r)
-    for label, rounds in algo.phases(n, n_expanded, r):
+    for label, rounds in algo.phases(n, trace.n_expanded, r):
         trace.charge(label, rounds)
 
     # announcement: each client tells its chosen server(s); piggybacks on the
@@ -307,10 +286,10 @@ def run_simulation(
     return result, trace
 
 
-def verify_message_budget(trace: SimTrace, model: ModelSpec) -> bool:
+def verify_message_budget(trace: SimTrace) -> bool:
     """True iff every explicitly simulated message fits the per-edge
-    bandwidth."""
-    limit = model.bandwidth_bits(trace.n)
+    bandwidth of the traced algorithm's model."""
+    limit = _bandwidth_bits(trace.algorithm, trace.n)
     if limit is None:
         return True
     return all(msg["bits"] <= limit for msg in trace.messages)

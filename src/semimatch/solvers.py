@@ -160,7 +160,7 @@ def _unit_schedule(inst: Instance, r: int):
 def _split_schedule(inst: Instance):
     """The blocking-flow schedule, lazily: for each budget B, (B, a
     (w, 2B)-matching computed by blocking-flow phases)."""
-    phases = 9 * _ceil_log2(inst.total_weight + len(inst.servers))  # expanded vertex count
+    phases = 9 * _ceil_log2(inst.n_expanded)
     for B in b_schedule(inst.n * inst.max_weight):
         profile = CapacityProfile(dict(inst.weight), {s: 2 * B for s in inst.servers})
         yield B, blocking_flow_matching(inst, profile, phases)

@@ -14,7 +14,6 @@ import pytest
 from semimatch import (
     CapacityProfile,
     CapMatching,
-    ModelSpec,
     blocking_flow_matching,
     cancel_cycles,
     eliminate_short_paths,
@@ -315,21 +314,19 @@ def test_criterion_10_round_accounting(capsys):
         weighted = _weighted(100_500 + seed, rng.randint(6, 10), rng.randint(3, 5),
                              0.6, rng.choice([2, 4]))
         runs = [
-            (unit, "congest-unweighted", ModelSpec("CONGEST"),
-             lambda i: solve_unweighted(i)[0]),
-            (weighted, "congest-weighted", ModelSpec("CONGEST"), solve_weighted_congest),
-            (weighted, "local-weighted", ModelSpec("LOCAL"), solve_weighted_local),
+            (unit, "congest-unweighted", lambda i: solve_unweighted(i)[0]),
+            (weighted, "congest-weighted", solve_weighted_congest),
+            (weighted, "local-weighted", solve_weighted_local),
         ]
         if min(unit.degree(c) for c in unit.clients) >= 2:
-            runs.append((unit, "congest-backup", ModelSpec("CONGEST"),
-                         lambda i: solve_backup(i, 2)))
-        for inst, algo, model, direct in runs:
-            result, trace = run_simulation(inst, algo, model, r=2)
+            runs.append((unit, "congest-backup", lambda i: solve_backup(i, 2)))
+        for inst, algo, direct in runs:
+            result, trace = run_simulation(inst, algo, r=2)
             expected = round_budget(algo, inst.n, n_expanded=trace.n_expanded)
             assert trace.charged_rounds == expected, algo
-            assert verify_message_budget(trace, model), algo
+            assert verify_message_budget(trace), algo
             assert result.mapping == direct(inst).mapping, algo
-            _, trace2 = run_simulation(inst, algo, model, r=2)
+            _, trace2 = run_simulation(inst, algo, r=2)
             assert trace.to_json() == trace2.to_json(), algo
             checked += 1
     ok = checked >= 30

@@ -66,6 +66,20 @@ class TestGen:
         assert f"requires parameter '{missing}'" in error["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,detail", [
+        (("star", "--clients", "4", "--servers", "3"),
+         "star takes no parameter 'n_servers'; expected n_clients"),
+        (("disjoint-perfect", "--k", "3", "--p", "0.5"),
+         "disjoint-perfect takes no parameter 'p'; expected k"),
+    ])
+    def test_unknown_parameter_is_error(self, tmp_path, capsys, argv, detail):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "gen", *argv, "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err) == {"error": "InstanceError", "detail": detail}
+        assert not out.exists()
+
 
 class TestSolveExitCodes:
     def test_success(self, unit_file, capsys):
@@ -410,6 +424,25 @@ class TestVerify:
         assert entry["reason"] == (f"phase rounds sum to {doc['chargedRounds'] + 1}, "
                                    f"trace charges {doc['chargedRounds']}")
 
+    @pytest.mark.parametrize("algo,passes", [("congest-weighted", False),
+                                             ("local-weighted", True)])
+    def test_budget_check_bandwidth_follows_model(self, weighted_file, tmp_path, capsys,
+                                                  algo, passes):
+        """One message of 32 * ceil(log2 n) + 1 bits breaks CONGEST's
+        bandwidth; LOCAL has none."""
+        trace_path = tmp_path / "trace.json"
+        run_cli(capsys, "solve", weighted_file, "--algo", algo,
+                "--simulate", "--trace-out", str(trace_path))
+        doc = json.loads(trace_path.read_text())
+        doc["simulatedMessages"][1]["bits"] = 32 * (doc["n"] - 1).bit_length() + 1
+        trace_path.write_text(json.dumps(doc))
+        code, stdout, _ = run_cli(capsys, "verify", weighted_file, str(trace_path),
+                                  "--check", "budget")
+        assert code == (0 if passes else 1)
+        report = json.loads(stdout)
+        assert report["pass"] is passes
+        assert report["checks"][0]["pass"] is passes
+
     @pytest.mark.parametrize("edge_cap", [{"0,4": 1}, True, 0, 1.5])
     def test_matching_artifact_rejects_bad_edge_cap(self, unit_file, tmp_path, capsys,
                                                     edge_cap):
@@ -608,6 +641,10 @@ class TestBench:
         ({"algo": "backup", "r": 0}, "r must be a positive int"),
         ({"algo": "backup", "r": True, "simulate": True}, "r must be a positive int"),
         ({"algo": "backup", "r": 1.0}, "r must be a positive int"),
+        ({"algo": "seq", "seed": [1]}, "seed must be an int"),
+        ({"algo": "seq", "seed": True}, "seed must be an int"),
+        ({"algo": "seq", "seed": 1.0}, "seed must be an int"),
+        ({"algo": "seq", "params": {"n_clients": 5, "seed": 2}}, "must not contain 'seed'"),
     ])
     def test_suite_rejects_bad_entry(self, tmp_path, capsys, entry, detail):
         star = {"generator": "star", "params": {"n_clients": 5}}
@@ -643,6 +680,8 @@ class TestBench:
     @pytest.mark.parametrize("params,detail", [
         (None, "star requires parameter 'n_clients'"),
         ({"n_clients": [5]}, "star parameter 'n_clients' must be a number, got [5]"),
+        ({"n_clients": 2.7}, "star parameter 'n_clients' must be an integer, got 2.7"),
+        ({"n_clients": 3, "n_client": 9}, "star takes no parameter 'n_client'; expected n_clients"),
     ])
     def test_suite_entry_missing_generator_parameter(self, tmp_path, capsys, params, detail):
         entry = {"generator": "star", "algo": "seq"}

@@ -214,6 +214,33 @@ class TestGenerators:
         with pytest.raises(InstanceError, match="star parameter 'n_clients' must be a number"):
             generate_instance("star", n_clients=value)
 
+    @pytest.mark.parametrize("value", [2.7, 2.0, True])
+    def test_integer_parameter_takes_only_integers(self, value):
+        with pytest.raises(InstanceError,
+                           match="star parameter 'n_clients' must be an integer"):
+            generate_instance("star", n_clients=value)
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_float_parameter_rejects_non_numbers(self, value):
+        with pytest.raises(InstanceError,
+                           match="random-bipartite parameter 'p' must be a number"):
+            generate_instance("random-bipartite", n_clients=5, n_servers=2, p=value)
+
+    def test_float_parameter_takes_an_int(self):
+        as_int = generate_instance("random-bipartite", seed=4, n_clients=5, n_servers=3, p=1)
+        as_float = generate_instance("random-bipartite", seed=4, n_clients=5, n_servers=3, p=1.0)
+        assert as_int.edges == as_float.edges
+
+    @pytest.mark.parametrize("name,params,unknown", [
+        ("star", {"n_clients": 3, "n_client": 9}, "n_client"),
+        ("weighted-random", {"n_clients": 3, "n_servers": 2, "p": 0.5, "exponent": 2},
+         "exponent"),
+        ("power-law-degrees", {"n_clients": 3, "n_servers": 2, "k": 1}, "k"),
+    ])
+    def test_unknown_parameter_named(self, name, params, unknown):
+        with pytest.raises(InstanceError, match=f"{name} takes no parameter '{unknown}'"):
+            generate_instance(name, **params)
+
 
 class TestFileIO:
     def test_round_trip(self, tmp_path, star4):

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from semimatch import (
-    ModelSpec,
     round_budget,
     run_simulation,
     solve_unweighted,
@@ -14,27 +13,31 @@ from semimatch import (
 from semimatch.simulate import (
     ALGORITHMS,
     BandwidthExceededError,
-    ModelMismatchError,
     SimTrace,
 )
 from conftest import random_unit, random_weighted
 
 
+def _one_message_trace(algorithm: str, n: int, bits: int) -> SimTrace:
+    trace = SimTrace(algorithm, n, n)
+    trace.messages.append({"round": 0, "edge": [0, n - 1], "bits": bits})
+    return trace
+
+
 class TestModelSpec:
+    """The model each table entry specifies fixes the bandwidth of its traces:
+    32 * ceil(log2 n) bits per message in CONGEST, unbounded in LOCAL."""
+
     def test_congest_bandwidth(self):
-        spec = ModelSpec("CONGEST", bandwidth_constant=32)
-        assert spec.bandwidth_bits(16) == 32 * 4
+        congest = [a for a in ALGORITHMS if a.startswith("congest-")]
+        assert len(congest) == 3
+        for algorithm in congest:
+            # n = 16: ceil(log2 16) = 4, so 128 bits fit and 129 do not
+            assert verify_message_budget(_one_message_trace(algorithm, 16, 128)), algorithm
+            assert not verify_message_budget(_one_message_trace(algorithm, 16, 129)), algorithm
 
     def test_local_unbounded(self):
-        assert ModelSpec("LOCAL").bandwidth_bits(16) is None
-
-    def test_bad_model(self):
-        with pytest.raises(ValueError):
-            ModelSpec("PRAM")
-
-    def test_bad_constant(self):
-        with pytest.raises(ValueError):
-            ModelSpec("CONGEST", bandwidth_constant=0)
+        assert verify_message_budget(_one_message_trace("local-weighted", 16, 10**6))
 
 
 class TestRoundBudget:
@@ -55,16 +58,14 @@ class TestRunSimulation:
     @pytest.mark.parametrize("seed", range(10))
     def test_congest_unweighted_charge_matches_budget(self, seed):
         inst = random_unit(seed, nc=10, ns=6, p=0.5)
-        model = ModelSpec("CONGEST")
-        result, trace = run_simulation(inst, "congest-unweighted", model)
+        result, trace = run_simulation(inst, "congest-unweighted")
         assert trace.charged_rounds == round_budget("congest-unweighted", inst.n)
-        assert verify_message_budget(trace, model)
+        assert verify_message_budget(trace)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_congest_weighted(self, seed):
         inst = random_weighted(seed, nc=8, ns=4, max_weight=8)
-        model = ModelSpec("CONGEST")
-        result, trace = run_simulation(inst, "congest-weighted", model)
+        result, trace = run_simulation(inst, "congest-weighted")
         assert trace.charged_rounds == round_budget("congest-weighted", inst.n)
         # parallel classes: still only one schedule's worth of matching phases
         matching_phases = [p for p in trace.phases if p["rounds"] > 0]
@@ -73,42 +74,39 @@ class TestRunSimulation:
     @pytest.mark.parametrize("seed", range(5))
     def test_local_weighted(self, seed):
         inst = random_weighted(seed, nc=8, ns=4, max_weight=8)
-        model = ModelSpec("LOCAL")
-        result, trace = run_simulation(inst, "local-weighted", model)
+        result, trace = run_simulation(inst, "local-weighted")
         expected = round_budget("local-weighted", inst.n, n_expanded=trace.n_expanded)
         assert trace.charged_rounds == expected
 
     def test_congest_backup(self):
         inst = random_unit(3, nc=6, ns=5, p=0.9)
-        model = ModelSpec("CONGEST")
-        result, trace = run_simulation(inst, "congest-backup", model, r=2)
+        result, trace = run_simulation(inst, "congest-backup", r=2)
         assert trace.charged_rounds == round_budget("congest-backup", inst.n)
         assert len(trace.messages) == 2 * len(inst.clients)
+
+    def test_congest_backup_requires_r(self):
+        inst = random_unit(3, nc=6, ns=5, p=0.9)
+        with pytest.raises(ValueError, match="replication factor"):
+            run_simulation(inst, "congest-backup")
 
     def test_result_identical_to_direct_solver(self):
         inst = random_unit(5, nc=10, ns=4, p=0.5)
         direct, _ = solve_unweighted(inst)
-        simulated, _ = run_simulation(inst, "congest-unweighted", ModelSpec("CONGEST"))
+        simulated, _ = run_simulation(inst, "congest-unweighted")
         assert simulated.mapping == direct.mapping
 
     def test_weighted_result_identical(self):
         inst = random_weighted(5)
         direct = solve_weighted_congest(inst)
-        simulated, _ = run_simulation(inst, "congest-weighted", ModelSpec("CONGEST"))
+        simulated, _ = run_simulation(inst, "congest-weighted")
         assert simulated.mapping == direct.mapping
-
-    def test_model_mismatch(self, chain):
-        with pytest.raises(ModelMismatchError):
-            run_simulation(chain, "congest-unweighted", ModelSpec("LOCAL"))
-        with pytest.raises(ModelMismatchError):
-            run_simulation(chain, "local-weighted", ModelSpec("CONGEST"))
 
     def test_unknown_algorithm(self, chain):
         with pytest.raises(ValueError):
-            run_simulation(chain, "nope", ModelSpec("CONGEST"))
+            run_simulation(chain, "nope")
 
     def test_announce_messages(self, chain):
-        _, trace = run_simulation(chain, "congest-unweighted", ModelSpec("CONGEST"))
+        _, trace = run_simulation(chain, "congest-unweighted")
         assert len(trace.messages) == len(chain.clients)
         assert all(m["round"] == trace.charged_rounds for m in trace.messages)
         assert trace.phases[-1] == {"label": "announce", "rounds": 0}
@@ -121,18 +119,18 @@ class TestBandwidth:
             trace.emit(1, (0, 4), bits=1000, limit=96)
 
     def test_verify_message_budget_local_always_true(self, chain):
-        _, trace = run_simulation(chain, "local-weighted", ModelSpec("LOCAL"))
-        assert verify_message_budget(trace, ModelSpec("LOCAL"))
+        _, trace = run_simulation(chain, "local-weighted")
+        assert verify_message_budget(trace)
 
     def test_verify_detects_violation(self):
         trace = SimTrace("congest-unweighted", 8, 8)
         trace.messages.append({"round": 0, "edge": [0, 1], "bits": 10**6})
-        assert not verify_message_budget(trace, ModelSpec("CONGEST"))
+        assert not verify_message_budget(trace)
 
 
 class TestTraceSerialization:
     def test_write_and_shape(self, tmp_path, chain):
-        _, trace = run_simulation(chain, "congest-unweighted", ModelSpec("CONGEST"))
+        _, trace = run_simulation(chain, "congest-unweighted")
         path = tmp_path / "trace.json"
         trace.write(path)
         doc = json.loads(path.read_text())
