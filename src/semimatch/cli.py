@@ -101,8 +101,8 @@ def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> di
 def cmd_solve(args) -> int:
     algo = by_name(args.algo)
     algo.check_request(args.simulate, args.r)
-    if args.dump_matchings and (args.simulate or algo.dump is None):
-        dumpers = " or ".join(a.name for a in REGISTRY if a.dump)
+    if args.dump_matchings and (args.simulate or algo.schedule is None):
+        dumpers = " or ".join(a.name for a in REGISTRY if a.schedule)
         raise ValueError(f"--dump-matchings needs a direct {dumpers} solve")
     inst, normalized = algo.prepare(read_instance(args.instance))
 
@@ -112,11 +112,9 @@ def cmd_solve(args) -> int:
         "normalized": normalized,
     }
     start = time.perf_counter()
-    trace = matchings = None
+    trace = None
     if args.simulate:
         result, trace = run_simulation(inst, algo.trace_id, args.r)
-    elif args.dump_matchings:
-        result, matchings = algo.dump(inst)
     else:
         result = algo.solve(inst, args.r)
     elapsed = time.perf_counter() - start
@@ -142,17 +140,18 @@ def cmd_solve(args) -> int:
     report["wall_time_s"] = round(elapsed, 6)
 
     if args.dump_matchings:
-        _dump_matchings(inst, matchings, args.dump_matchings)
+        _dump_matchings(inst, algo.schedule(inst), args.dump_matchings)
 
     print(json.dumps(report, indent=1))
     return 0
 
 
-def _dump_matchings(inst: Instance, per_b: dict[int, CapMatching], directory: str) -> None:
+def _dump_matchings(inst: Instance, budgets, directory: str) -> None:
+    """Write each (budget B, matching) pair of ``budgets`` to B<B>.json."""
     import os
 
     os.makedirs(directory, exist_ok=True)
-    for b, matching in per_b.items():
+    for b, matching in budgets:
         doc = {
             "kappa": {str(c): matching.profile.kappa[c] for c in inst.clients},
             "tau": {str(s): matching.profile.tau[s] for s in inst.servers},
@@ -325,6 +324,8 @@ def cmd_bench(args) -> int:
             raise ValueError("suite must be a JSON list of objects")
     elif args.doubling:
         lo, hi = args.doubling
+        if not 1 <= lo <= hi:
+            raise ValueError(f"--doubling LO HI needs 1 <= LO <= HI, got {lo} {hi}")
         suite = _doubling_suite(lo, hi, args.seed)
     else:
         suite = []

@@ -296,8 +296,10 @@ def generate_instance(name: str, seed: int = 0, **params) -> Instance:
     if name == "power-law-degrees":
         nc, ns = param("n_clients", int), param("n_servers", int)
         exponent = param("exponent", float, 2.0)
-        if nc < 1 or ns < 1 or exponent <= 0:
+        if nc < 1 or ns < 1:
             raise InstanceError("power-law-degrees parameters out of range")
+        if not exponent > 0:  # nan too
+            raise InstanceError(f"power-law-degrees requires exponent > 0, got {exponent!r}")
         servers = list(range(nc, nc + ns))
         # server attachment weights ~ rank^(-exponent)
         attach = [1.0 / (i + 1) ** exponent for i in range(ns)]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .instance import Instance, InstanceError, normalize_weights
-from .rounding import round_split
 from .solvers import (
     Assignment,
     MultiAssignment,
@@ -33,7 +32,8 @@ from .solvers import (
     solve_unweighted,
     solve_weighted_congest,
     solve_weighted_local,
-    split_assignment_seq,
+    split_schedule,
+    unit_schedule,
 )
 
 
@@ -141,29 +141,16 @@ def _local_phases(n: int, n_expanded: int, r) -> list[tuple[str, int]]:
     ]
 
 
-def _sequential(inst: Instance):
-    split, matchings = split_assignment_seq(inst)
-    return round_split(inst, split), matchings
-
-
-def _unweighted(inst: Instance) -> Assignment:
-    """``solve_unweighted``'s assignment without its later budgets: the same
-    schedule run by ``solve_backup`` with r = 1, stopped at the first
-    client-perfect budget."""
-    if not inst.is_unit_weight():
-        raise ValueError("solve_unweighted requires unit weights")
-    return Assignment(inst, {c: s for c, (s,) in solve_backup(inst, 1).mapping.items()})
-
-
 @dataclass(frozen=True)
 class Algorithm:
     """One algorithm of the suite and everything its callers need to know.
 
     ``solve(inst, r)`` returns the result and stops at the first
-    client-perfect budget; ``dump(inst)``, where set, returns (result, every
-    budget's matching).  The table's entries call their solvers through this
-    module's globals at call time, so a caller that rebinds those names (a
-    tracer, a test spy) sees every call.
+    client-perfect budget; ``schedule(inst)``, where set, yields the (budget,
+    matching) pairs of the schedule the solve runs, every budget included.
+    The table's entries call their solvers through this module's globals at
+    call time, so a caller that rebinds those names (a tracer, a test spy)
+    sees every call.
     """
 
     name: str  # CLI --algo
@@ -172,7 +159,7 @@ class Algorithm:
     model: str | None = None  # CONGEST or LOCAL; None for a sequential algorithm
     phases: Callable | None = None  # (n, n_expanded, r) -> [(label, charged rounds)]
     unit_weights: bool = False  # unit weights only, else power-of-two normalized
-    dump: Callable | None = None  # inst -> (result, {budget: matching})
+    schedule: Callable | None = None  # inst -> lazy (budget, matching) pairs
     takes_r: bool = False  # needs a replication factor r
 
     def prepare(self, inst: Instance) -> tuple[Instance, bool]:
@@ -197,10 +184,11 @@ class Algorithm:
 
 
 REGISTRY = (
-    Algorithm("seq", "seq", lambda inst, r: solve_sequential(inst), dump=_sequential),
-    Algorithm("congest-unweighted", "congest-unweighted", lambda inst, r: _unweighted(inst),
+    Algorithm("seq", "seq", lambda inst, r: solve_sequential(inst),
+              schedule=lambda inst: split_schedule(inst)),
+    Algorithm("congest-unweighted", "congest-unweighted", lambda inst, r: solve_unweighted(inst),
               "CONGEST", _per_budget(""), unit_weights=True,
-              dump=lambda inst: solve_unweighted(inst)),
+              schedule=lambda inst: unit_schedule(inst, 1)),
     # classes run in parallel over edge-disjoint subgraphs; every class
     # executes the full budget schedule, so the maximum equals one
     # schedule's worth of charges

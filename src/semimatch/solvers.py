@@ -4,7 +4,7 @@
   short augmenting paths eliminated; each client adopts the smallest budget
   at which it got matched.  8-approximate for the max load, 24-approximate
   for every l_p norm.  It is ``solve_backup`` with r = 1: both run the one
-  schedule of ``_unit_schedule``.
+  schedule of ``unit_schedule``.
 * ``solve_weighted_congest``: per-weight-class reduction to the unweighted
   solver (O(log n)-approximate).
 * ``solve_weighted_local``: client-expansion emulation plus per-class
@@ -14,10 +14,11 @@
 * ``solve_backup``: replication-factor variant of the same schedule, with
   client capacity r and simple (multiplicity-1) matchings.
 
-Both schedules are lazy (B, matching) generators; ``_until_client_perfect``
-stops one at its first client-perfect budget, past which no output changes.
-Direct solves stop there.  ``split_assignment_seq`` and ``solve_unweighted``
-return every budget's matching (as ``--dump-matchings`` writes them), and
+Both schedules, ``unit_schedule`` and ``split_schedule``, are lazy
+(B, matching) generators; ``_until_client_perfect`` stops one at its first
+client-perfect budget, past which no output changes.  Every solver stops
+there.  Draining a schedule (``dict(split_schedule(inst))``) is the one way
+to get every budget's matching, as ``--dump-matchings`` writes them;
 simulated traces charge the full schedule.
 """
 
@@ -34,7 +35,6 @@ from .instance import (
 )
 from .matching import (
     CapacityProfile,
-    CapMatching,
     blocking_flow_matching,
     eliminate_short_paths,
     is_client_perfect,
@@ -147,7 +147,7 @@ def b_schedule(limit: int) -> list[int]:
     return [1 << i for i in range(_ceil_log2(limit) + 1)]
 
 
-def _unit_schedule(inst: Instance, r: int):
+def unit_schedule(inst: Instance, r: int):
     """The unit-weight doubling schedule, lazily: per budget B, (B, an
     (r, 2B)-matching free of augmenting paths of length <= short_path_bound(n)),
     simple when r > 1 (with r = 1 no edge can carry two units anyway)."""
@@ -157,7 +157,7 @@ def _unit_schedule(inst: Instance, r: int):
         yield B, eliminate_short_paths(inst, CapacityProfile.uniform(inst, r, 2 * B, edge_cap), k)
 
 
-def _split_schedule(inst: Instance):
+def split_schedule(inst: Instance):
     """The blocking-flow schedule, lazily: for each budget B, (B, a
     (w, 2B)-matching computed by blocking-flow phases)."""
     phases = 9 * _ceil_log2(inst.n_expanded)
@@ -188,16 +188,15 @@ def _adopt(inst: Instance, budgets, r: int) -> dict[int, tuple[int, ...]]:
     return chosen
 
 
-def solve_unweighted(inst: Instance) -> tuple[Assignment, dict[int, CapMatching]]:
+def solve_unweighted(inst: Instance) -> Assignment:
     """Doubling-budget unweighted solver: the doubling schedule with r = 1,
     each client on the server it got at the smallest budget at which it is
-    matched.  Returns every budget's matching."""
+    matched."""
     if not inst.is_unit_weight():
         raise ValueError("solve_unweighted requires unit weights")
     _check_feasible(inst)
-    matchings = dict(_unit_schedule(inst, 1))
-    chosen = _adopt(inst, matchings.items(), 1)
-    return Assignment(inst, {c: s for c, (s,) in chosen.items()}), matchings
+    chosen = _adopt(inst, unit_schedule(inst, 1), 1)
+    return Assignment(inst, {c: s for c, (s,) in chosen.items()})
 
 
 def _per_class(inst: Instance, solve_class) -> dict[int, tuple[int, ...]]:
@@ -221,7 +220,7 @@ def solve_weighted_congest(inst: Instance) -> Assignment:
     each class subgraph (clients treated as unit weight) and combine."""
     _require_normalized(inst)
     _check_feasible(inst)
-    chosen = _per_class(inst, lambda view, sub: _adopt(sub, _unit_schedule(sub, 1), 1))
+    chosen = _per_class(inst, lambda view, sub: _adopt(sub, unit_schedule(sub, 1), 1))
     return Assignment(inst, {c: s for c, (s,) in chosen.items()})
 
 
@@ -239,7 +238,7 @@ def solve_weighted_local(inst: Instance) -> Assignment:
     k = short_path_bound(exp.instance.n)
     # loads of the expanded assignment per (class weight, base server)
     restricted: dict[tuple[int, int], int] = {}
-    for cid, (s_exp,) in _adopt(exp.instance, _unit_schedule(exp.instance, 1), 1).items():
+    for cid, (s_exp,) in _adopt(exp.instance, unit_schedule(exp.instance, 1), 1).items():
         key = (inst.weight[exp.copy_of[cid][0]], exp.server_unmap[s_exp])
         restricted[key] = restricted.get(key, 0) + 1
 
@@ -288,20 +287,16 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
     return SplitAssignment(inst, mult)
 
 
-def split_assignment_seq(inst: Instance) -> tuple[SplitAssignment, dict[int, CapMatching]]:
-    """Blocking-flow schedule producing a split assignment (see ``_split``).
-    Returns every budget's matching."""
+def split_assignment_seq(inst: Instance) -> SplitAssignment:
+    """Blocking-flow schedule producing a split assignment (see ``_split``)."""
     _require_normalized(inst)
     _check_feasible(inst)
-    matchings = dict(_split_schedule(inst))
-    return _split(inst, matchings.items()), matchings
+    return _split(inst, split_schedule(inst))
 
 
 def solve_sequential(inst: Instance) -> Assignment:
     """Near-linear sequential solver: split assignment + rounding."""
-    _require_normalized(inst)
-    _check_feasible(inst)
-    return round_split(inst, _split(inst, _split_schedule(inst)))
+    return round_split(inst, split_assignment_seq(inst))
 
 
 def solve_backup(inst: Instance, r: int) -> MultiAssignment:
@@ -316,10 +311,10 @@ def solve_backup(inst: Instance, r: int) -> MultiAssignment:
         raise ValueError("replication factor must be >= 1")
     _check_feasible(inst, min_degree=r)
     if inst.is_unit_weight():
-        chosen = _adopt(inst, _unit_schedule(inst, r), r)
+        chosen = _adopt(inst, unit_schedule(inst, r), r)
     else:
         _require_normalized(inst)
-        chosen = _per_class(inst, lambda view, sub: _adopt(sub, _unit_schedule(sub, r), r))
+        chosen = _per_class(inst, lambda view, sub: _adopt(sub, unit_schedule(sub, r), r))
     return MultiAssignment(inst, r, chosen)
 
 

@@ -6,9 +6,9 @@ directly to the terminal, then asserts.
 
 import math
 import random
+import statistics
 import time
 
-import numpy as np
 import pytest
 
 from semimatch import (
@@ -42,7 +42,7 @@ from semimatch.oracle import (
     verify_expansion_lemma,
 )
 from semimatch.rounding import support_degrees
-from semimatch.solvers import InfeasibleError, b_schedule, short_path_bound
+from semimatch.solvers import InfeasibleError, b_schedule, short_path_bound, unit_schedule
 
 
 def report(capsys, num, ok, detail):
@@ -87,7 +87,7 @@ def test_criterion_1_minmax_8_approx(capsys):
         else:
             nc, ns = rng.randint(100, 320), rng.randint(20, 80)
         inst = _unit(1000 + seed, nc, ns, rng.uniform(0.05, 0.6))
-        a, _ = solve_unweighted(inst)
+        a = solve_unweighted(inst)
         ratio = a.load_vector().max() / opt_minmax_unweighted(inst)
         worst = max(worst, ratio)
         trials += 1
@@ -104,7 +104,7 @@ def test_criterion_2_allnorm_24_approx(capsys):
     trials = 0
     for seed in range(200):
         inst = _enum_unit(2000 + seed)
-        a, _ = solve_unweighted(inst)
+        a = solve_unweighted(inst)
         lv = a.load_vector()
         opt_pow = opt_power_sums(inst, (2, 3))
         for p in (2, 3):
@@ -188,7 +188,7 @@ def test_criterion_5_rounding_contract(capsys):
         rng = random.Random(50_000 + seed)
         inst = _weighted(50_000 + seed, rng.randint(6, 12), rng.randint(3, 6),
                          rng.uniform(0.3, 0.7), rng.choice([2, 4, 8]))
-        split, _ = split_assignment_seq(inst)
+        split = split_assignment_seq(inst)
         forest = cancel_cycles(inst, split.mult)
         if support_degrees(forest) == support_degrees(split.mult):
             degree_ok += 1
@@ -256,7 +256,8 @@ def test_criterion_7_sequential_quality_and_scaling(capsys):
             best = min(best, time.perf_counter() - t0)
         sizes.append(inst.m)
         times.append(best)
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+    slope = statistics.linear_regression([math.log(m) for m in sizes],
+                                         [math.log(t) for t in times]).slope
     ok = 0.9 <= slope <= 1.5
     report(capsys, 7, ok,
            f"worst ratios linf {worst_inf:.2f} / l2 {worst_l2:.2f} <= 25; "
@@ -314,7 +315,7 @@ def test_criterion_10_round_accounting(capsys):
         weighted = _weighted(100_500 + seed, rng.randint(6, 10), rng.randint(3, 5),
                              0.6, rng.choice([2, 4]))
         runs = [
-            (unit, "congest-unweighted", lambda i: solve_unweighted(i)[0]),
+            (unit, "congest-unweighted", solve_unweighted),
             (weighted, "congest-weighted", solve_weighted_congest),
             (weighted, "local-weighted", solve_weighted_local),
         ]
@@ -344,9 +345,8 @@ def test_criterion_11_levels_suite(capsys):
         inst = _enum_unit(110_000 + seed)
         lm = levels(inst)  # raises if the adjacency property fails
         nodown_ok += 1
-        _, matchings = solve_unweighted(inst)
         violated = False
-        for B, x in matchings.items():
+        for B, x in unit_schedule(inst, 1):
             for c in inst.clients:
                 if lm.client_level[c] <= B - 1 and x.client_deg[c] < 1:
                     violated = True

@@ -5,6 +5,7 @@ import pytest
 
 from semimatch import build_instance, generate_instance, matching, solvers, write_instance
 from semimatch.cli import main
+from semimatch.simulate import by_name
 from conftest import count_calls, first_perfect, random_unit, random_weighted
 
 
@@ -78,6 +79,18 @@ class TestGen:
         assert code == 1
         assert stdout == ""
         assert json.loads(err) == {"error": "InstanceError", "detail": detail}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exponent", ["nan", "0", "-1.5"])
+    def test_power_law_exponent_out_of_range(self, tmp_path, capsys, exponent):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "gen", "power-law-degrees", "--clients", "3",
+                                    "--servers", "2", "--exponent", exponent, "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "InstanceError"
+        assert "exponent > 0" in error["detail"]
         assert not out.exists()
 
 
@@ -181,25 +194,27 @@ EARLY_PERFECT = {
 
 
 class TestEarlyStop:
-    """CLI solves, simulations and bench rows call the matching primitive
-    once per budget up to the first client-perfect one."""
+    """CLI solves, simulations and bench rows call the algorithm's one
+    solver once, and it calls the matching primitive once per budget up to
+    the first client-perfect one."""
 
-    @pytest.mark.parametrize("algo,full,primitive", [
+    @pytest.mark.parametrize("algo,solver,primitive", [
         ("seq", "split_assignment_seq", "blocking_flow_matching"),
         ("congest-unweighted", "solve_unweighted", "eliminate_short_paths"),
     ])
     @pytest.mark.parametrize("name", list(EARLY_PERFECT))
     def test_stops_at_first_client_perfect_budget(self, chain, tmp_path, capsys, monkeypatch,
-                                                  name, algo, full, primitive):
+                                                  name, algo, solver, primitive):
         spec = EARLY_PERFECT[name]
         inst = chain if spec is None else generate_instance(
             spec["generator"], seed=spec.get("seed", 0), **spec["params"])
-        _, matchings = getattr(solvers, full)(inst)
+        matchings = dict(by_name(algo).schedule(inst))
         stop = first_perfect(inst, matchings)
         assert stop < len(matchings) - 1
         path = tmp_path / "inst.json"
         write_instance(inst, path)
         calls = count_calls(monkeypatch, matching, primitive)
+        solves = count_calls(monkeypatch, solvers, solver)
         runs = [("solve", str(path), "--algo", algo)]
         if algo == "congest-unweighted":
             runs.append(("solve", str(path), "--algo", algo, "--simulate"))
@@ -209,9 +224,11 @@ class TestEarlyStop:
             runs.append(("bench", "--suite", str(suite_path), "-o", str(tmp_path / "b.csv")))
         for argv in runs:
             calls.clear()
+            solves.clear()
             code, _, _ = run_cli(capsys, *argv)
             assert code == 0
             assert len(calls) == stop + 1, argv
+            assert len(solves) == 1, argv
 
 
 class TestSolveReports:
@@ -609,6 +626,17 @@ class TestBench:
         assert rows[0] == ["n", "m", "algo", "time_ns", "linf", "ratio", "charged_rounds"]
         assert len(rows) == 4
         assert [int(r[0]) for r in rows[1:]] == [16, 32, 64]
+
+    @pytest.mark.parametrize("lo,hi", [("5", "3"), ("-1", "2"), ("0", "1")])
+    def test_doubling_rejects_bad_range(self, tmp_path, capsys, lo, hi):
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run_cli(capsys, "bench", "--doubling", lo, hi, "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert "--doubling" in error["detail"]
+        assert not out.exists()
 
     def test_suite_file(self, tmp_path, capsys):
         suite = [

@@ -162,7 +162,7 @@ class TestStarRound:
     @pytest.mark.parametrize("seed", range(30))
     def test_load_bound_randomized(self, seed):
         inst = random_weighted(seed, nc=10, ns=5, p=0.5, max_weight=4)
-        split, _ = split_assignment_seq(inst)
+        split = split_assignment_seq(inst)
         forest = cancel_cycles(inst, split.mult)
         mapping = star_round(inst, forest)
         split_loads = {s: 0 for s in inst.servers}
@@ -195,7 +195,7 @@ class TestRoundSplit:
     @pytest.mark.parametrize("seed", range(20))
     def test_per_server_bound(self, seed):
         inst = random_weighted(seed, nc=8, ns=4, p=0.5, max_weight=8)
-        split, _ = split_assignment_seq(inst)
+        split = split_assignment_seq(inst)
         a = round_split(inst, split)
         split_loads = split.loads()
         loads = a.load_vector().loads

@@ -91,7 +91,7 @@ class TestRunSimulation:
 
     def test_result_identical_to_direct_solver(self):
         inst = random_unit(5, nc=10, ns=4, p=0.5)
-        direct, _ = solve_unweighted(inst)
+        direct = solve_unweighted(inst)
         simulated, _ = run_simulation(inst, "congest-unweighted")
         assert simulated.mapping == direct.mapping
 

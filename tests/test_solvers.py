@@ -13,7 +13,6 @@ from semimatch import (
     generate_instance,
     is_client_perfect,
     normalize_weights,
-    round_split,
     solve_backup,
     solve_sequential,
     solve_unweighted,
@@ -21,14 +20,14 @@ from semimatch import (
     solve_weighted_local,
     split_assignment_seq,
 )
-from semimatch import matching
+from semimatch import matching, solvers
 from semimatch.oracle import (
     opt_backup_enum,
     opt_minmax_unweighted,
     opt_power_sums,
     opt_split,
 )
-from semimatch.solvers import b_schedule, short_path_bound
+from semimatch.solvers import b_schedule, short_path_bound, split_schedule, unit_schedule
 from conftest import count_calls, first_perfect, random_unit, random_weighted
 
 
@@ -76,17 +75,17 @@ class TestSchedules:
 
 class TestUnweighted:
     def test_star(self, star4):
-        a, matchings = solve_unweighted(star4)
+        a = solve_unweighted(star4)
         assert a.load_vector().max() == 4
         assert opt_minmax_unweighted(star4) == 4
 
     def test_chain(self, chain):
-        a, _ = solve_unweighted(chain)
+        a = solve_unweighted(chain)
         assert a.load_vector().max() <= 8 * opt_minmax_unweighted(chain)
         assert a.load_vector().total() == len(chain.clients)
 
     def test_matchings_keyed_by_budget(self, chain):
-        _, matchings = solve_unweighted(chain)
+        matchings = dict(unit_schedule(chain, 1))
         assert sorted(matchings) == b_schedule(chain.n)
         assert is_client_perfect(chain, matchings[max(matchings)])
 
@@ -104,14 +103,14 @@ class TestUnweighted:
     @pytest.mark.parametrize("seed", range(40))
     def test_minmax_ratio(self, seed):
         inst = random_unit(seed, nc=10, ns=4, p=0.5)
-        a, _ = solve_unweighted(inst)
+        a = solve_unweighted(inst)
         assert a.load_vector().max() <= 8 * opt_minmax_unweighted(inst)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_monotone_budget_coverage(self, seed):
         # larger budgets can only match more clients, never fewer
         inst = random_unit(seed, nc=12, ns=3, p=0.4)
-        _, matchings = solve_unweighted(inst)
+        matchings = dict(unit_schedule(inst, 1))
         prev = -1
         for B in sorted(matchings):
             matched = sum(matchings[B].mult.values())
@@ -161,16 +160,16 @@ class TestWeightedLocal:
 
 class TestSplitSequential:
     def test_split_is_total(self, chain):
-        split, matchings = split_assignment_seq(chain)
+        split = split_assignment_seq(chain)
         assert sum(split.mult.values()) == chain.total_weight
-        assert sorted(matchings) == b_schedule(chain.n * chain.max_weight)
+        assert sorted(dict(split_schedule(chain))) == b_schedule(chain.n * chain.max_weight)
 
     def test_split_linf_bound(self):
         inst = normalize_weights(
             build_instance([0, 1, 2], [3, 4], [(0, 3), (1, 3), (1, 4), (2, 4)],
                            {0: 2, 1: 2, 2: 2})
         )
-        split, _ = split_assignment_seq(inst)
+        split = split_assignment_seq(inst)
         assert max(split.loads().values()) <= 8 * opt_split(inst)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -252,7 +251,7 @@ class TestBackupWithOneCopy:
     @settings(max_examples=200, deadline=None)
     @given(feasible_instances(weighted=False))
     def test_unit_equals_solve_unweighted(self, inst):
-        single = solve_unweighted(inst)[0].mapping
+        single = solve_unweighted(inst).mapping
         assert solve_backup(inst, 1).mapping == {c: (s,) for c, s in single.items()}
 
     @settings(max_examples=200, deadline=None)
@@ -263,14 +262,6 @@ class TestBackupWithOneCopy:
         assert solve_backup(inst, 1).mapping == {c: (s,) for c, s in single.items()}
 
 
-class TestSequentialEqualsFullSchedule:
-    @settings(max_examples=200, deadline=None)
-    @given(feasible_instances(weighted=True))
-    def test_solve_sequential_rounds_the_full_split(self, inst):
-        split, _ = split_assignment_seq(inst)
-        assert solve_sequential(inst).mapping == round_split(inst, split).mapping
-
-
 # first client-perfect budget: B = 1 of 1, 2, 4, 8 on the chain, B = 2 on star4
 EARLY_PERFECT = pytest.mark.parametrize("inst", [
     build_instance([0, 1, 2], [3, 4], [(0, 3), (1, 3), (1, 4), (2, 4)]),
@@ -279,18 +270,19 @@ EARLY_PERFECT = pytest.mark.parametrize("inst", [
 
 
 class TestEarlyStop:
-    """Direct solves stop at the first client-perfect budget; the functions
-    that return matchings still solve and return every budget."""
+    """Every solver stops at the first client-perfect budget; draining a
+    schedule still solves and yields every budget."""
 
     @EARLY_PERFECT
     def test_unit_schedule(self, monkeypatch, inst):
         calls = count_calls(monkeypatch, matching, "eliminate_short_paths")
-        _, matchings = solve_unweighted(inst)
+        matchings = dict(unit_schedule(inst, 1))
         assert sorted(matchings) == b_schedule(inst.n)
         assert len(calls) == len(matchings)
         stop = first_perfect(inst, matchings)
         assert stop < len(matchings) - 1
-        for solve in (lambda: solve_backup(inst, 1), lambda: solve_weighted_congest(inst)):
+        for solve in (lambda: solve_unweighted(inst), lambda: solve_backup(inst, 1),
+                      lambda: solve_weighted_congest(inst)):
             calls.clear()
             solve()
             assert len(calls) == stop + 1
@@ -298,14 +290,20 @@ class TestEarlyStop:
     @EARLY_PERFECT
     def test_split_schedule(self, monkeypatch, inst):
         calls = count_calls(monkeypatch, matching, "blocking_flow_matching")
-        _, matchings = split_assignment_seq(inst)
+        matchings = dict(split_schedule(inst))
         assert sorted(matchings) == b_schedule(inst.n * inst.max_weight)
         assert len(calls) == len(matchings)
         stop = first_perfect(inst, matchings)
         assert stop < len(matchings) - 1
-        calls.clear()
-        solve_sequential(inst)
-        assert len(calls) == stop + 1
+        for solve in (lambda: split_assignment_seq(inst), lambda: solve_sequential(inst)):
+            calls.clear()
+            solve()
+            assert len(calls) == stop + 1
+
+    def test_solve_sequential_assembles_the_split_once(self, monkeypatch, chain):
+        calls = count_calls(monkeypatch, solvers, "split_assignment_seq")
+        solve_sequential(chain)
+        assert len(calls) == 1
 
 
 class TestMultiAssignment:
