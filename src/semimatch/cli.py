@@ -75,13 +75,21 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ratio(value: float, opt) -> float | None:
+    """``value / opt`` (None if ``opt`` is 0), which no solver can bring below 1."""
+    ratio = value / opt if opt else None
+    if ratio is not None and ratio < 1 - 1e-9:
+        raise AssertionError(f"solver beat the exact optimum: ratio {ratio}")
+    return ratio
+
+
 def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> dict:
     out: dict = {}
     try:
         if algo.takes_r:
             opt = oracle_mod.opt_backup_enum(inst, r)
             out["opt_linf"] = opt
-            out["ratio_linf"] = lv.max() / opt if opt else None
+            out["ratio_linf"] = _ratio(lv.max(), opt)
             return out
         if inst.is_unit_weight():
             out["opt_minmax"] = oracle_mod.opt_minmax_unweighted(inst)
@@ -90,7 +98,7 @@ def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> di
             "1": optima[1], "2": optima[2], "3": optima[3], "inf": optima[math.inf]
         }
         out["ratios"] = {
-            key: (lv.norm(p) / optima[p] if optima[p] else None)
+            key: _ratio(lv.norm(p), optima[p])
             for key, p in (("1", 1), ("2", 2), ("3", 3), ("inf", math.inf))
         }
     except oracle_mod.EnumerationTooLarge:
@@ -98,47 +106,60 @@ def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> di
     return out
 
 
-def cmd_solve(args) -> int:
-    algo = by_name(args.algo)
-    algo.check_request(args.simulate, args.r)
-    if args.dump_matchings and (args.simulate or algo.schedule is None):
-        dumpers = " or ".join(a.name for a in REGISTRY if a.schedule)
-        raise ValueError(f"--dump-matchings needs a direct {dumpers} solve")
-    inst, normalized = algo.prepare(read_instance(args.instance))
-
-    report: dict = {
-        "instance": instance_digest(inst),
-        "algorithm": args.algo,
-        "normalized": normalized,
-    }
-    start = time.perf_counter()
+def _solve(algo: Algorithm, inst: Instance, r: int | None, simulate: bool, oracle: bool,
+           extra_p=()) -> tuple[Instance, dict, SimTrace | None, int]:
+    """Run ``algo`` on ``inst`` as ``solve`` does: the instance it solved, the
+    report, the trace (None unless ``simulate``) and the run's nanoseconds."""
+    inst, normalized = algo.prepare(inst)
+    report: dict = {"instance": instance_digest(inst), "algorithm": algo.name,
+                    "normalized": normalized}
+    start = time.perf_counter_ns()
     trace = None
-    if args.simulate:
-        result, trace = run_simulation(inst, algo.trace_id, args.r)
+    if simulate:
+        result, trace = run_simulation(inst, algo.trace_id, r)
     else:
-        result = algo.solve(inst, args.r)
-    elapsed = time.perf_counter() - start
+        result = algo.solve(inst, r)
+    elapsed = time.perf_counter_ns() - start
 
     lv = result.load_vector()
     report["loads"] = {str(s): v for s, v in sorted(lv.loads.items())}
-    report["norms"] = _norms(lv, args.p or ())
+    report["norms"] = _norms(lv, extra_p)
     if isinstance(result, MultiAssignment):
         report["assignment"] = {str(c): list(ss) for c, ss in sorted(result.mapping.items())}
-        report["r"] = args.r
+        report["r"] = r
     else:
         report["assignment"] = {str(c): s for c, s in sorted(result.mapping.items())}
-    if args.oracle:
-        report["oracle"] = _oracle_comparison(inst, algo, args.r, lv)
-        ratios = report["oracle"].get("ratios", {})
-        for val in ratios.values():
-            if val is not None and val < 1 - 1e-9:
-                raise AssertionError(f"solver beat the exact optimum: ratio {val}")
+    if oracle:
+        report["oracle"] = _oracle_comparison(inst, algo, r, lv)
     if trace is not None:
         report["charged_rounds"] = trace.charged_rounds
-        if args.trace_out:
-            trace.write(args.trace_out)
-    report["wall_time_s"] = round(elapsed, 6)
+    report["wall_time_s"] = round(elapsed / 1e9, 6)
+    return inst, report, trace, elapsed
 
+
+def _check_request(algo: Algorithm, simulate: bool, r: int | None, r_field: str) -> None:
+    """The algorithm's own request checks, and that only an algorithm that
+    takes a replication factor is given one (in ``r_field``)."""
+    algo.check_request(simulate, r)
+    if r is not None and not algo.takes_r:
+        takers = " or ".join(a.name for a in REGISTRY if a.takes_r)
+        raise ValueError(f"{r_field} is the replication factor of {takers}; "
+                         f"{algo.name} takes none")
+
+
+def cmd_solve(args) -> int:
+    algo = by_name(args.algo)
+    _check_request(algo, args.simulate, args.r, "--r")
+    if args.trace_out and not args.simulate:
+        raise ValueError("--trace-out writes the trace of a --simulate solve; "
+                         "add --simulate or drop --trace-out")
+    if args.dump_matchings and (args.simulate or algo.schedule is None):
+        dumpers = " or ".join(a.name for a in REGISTRY if a.schedule)
+        raise ValueError(f"--dump-matchings needs a direct {dumpers} solve")
+    inst, report, trace, _ = _solve(algo, read_instance(args.instance), args.r,
+                                    args.simulate, args.oracle, args.p or ())
+    if args.trace_out:
+        trace.write(args.trace_out)
     if args.dump_matchings:
         _dump_matchings(inst, algo.schedule(inst), args.dump_matchings)
 
@@ -316,6 +337,9 @@ def _doubling_suite(lo: int, hi: int, seed: int) -> list[dict]:
     return suite
 
 
+_SUITE_KEYS = ("generator", "params", "seed", "algo", "r", "simulate", "oracle")
+
+
 def cmd_bench(args) -> int:
     if args.suite:
         with open(args.suite, encoding="utf-8") as fh:
@@ -331,7 +355,14 @@ def cmd_bench(args) -> int:
         suite = []
     algos = [by_name(entry.get("algo")) for entry in suite]
     for entry, algo in zip(suite, algos):
-        algo.check_request(entry.get("simulate", False), entry.get("r"))
+        unknown = sorted(set(entry) - set(_SUITE_KEYS))
+        if unknown:
+            raise ValueError(f"suite entry has unknown key {unknown[0]!r}; "
+                             f"expected some of {_SUITE_KEYS}")
+        for key in ("simulate", "oracle"):
+            if type(entry.get(key, False)) is not bool:
+                raise ValueError(f"suite entry {key} must be true or false, got {entry[key]!r}")
+        _check_request(algo, entry.get("simulate", False), entry.get("r"), "suite entry r")
         if entry.get("generator") not in GENERATORS:
             raise ValueError(f"unknown generator {entry.get('generator')!r}; "
                              f"expected one of {GENERATORS}")
@@ -348,24 +379,12 @@ def cmd_bench(args) -> int:
     for entry, algo in zip(suite, algos):
         inst = generate_instance(entry["generator"], seed=entry.get("seed", 0),
                                  **entry.get("params", {}))
-        work, _ = algo.prepare(inst)
-        start = time.perf_counter_ns()
-        if entry.get("simulate"):
-            result, trace = run_simulation(work, algo.trace_id, entry.get("r"))
-            charged = trace.charged_rounds
-        else:
-            result = algo.solve(work, entry.get("r"))
-            charged = ""
-        elapsed = time.perf_counter_ns() - start
-        lv = result.load_vector()
-        ratio = ""
-        if entry.get("oracle"):
-            try:
-                optima, _ = oracle_mod.opt_allnorm_enum(work, (math.inf,))
-                ratio = lv.max() / optima[math.inf]
-            except oracle_mod.EnumerationTooLarge:
-                ratio = ""
-        rows.append([work.n, work.m, algo.name, elapsed, lv.max(), ratio, charged])
+        work, report, _, elapsed = _solve(algo, inst, entry.get("r"),
+                                          entry.get("simulate", False), entry.get("oracle", False))
+        oracle = report.get("oracle", {})
+        ratio = oracle.get("ratio_linf", oracle.get("ratios", {}).get("inf", ""))
+        rows.append([work.n, work.m, algo.name, elapsed, max(report["loads"].values(), default=0),
+                     ratio, report.get("charged_rounds", "")])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "m", "algo", "time_ns", "linf", "ratio", "charged_rounds"])

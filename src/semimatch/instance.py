@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -29,17 +30,15 @@ def _prev_pow2(x: int) -> int:
 class Instance:
     """A bipartite load-balancing instance.
 
-    clients / servers are disjoint dense id ranges covering [0, n); edges join
-    one client and one server; weights are positive integers.  When an
-    instance has been weight-normalized, ``original_weight`` keeps the
-    pre-normalization weights for reporting.
+    clients / servers are disjoint dense id ranges covering [0, n), with no
+    id repeated; edges join one client and one server; weights are positive
+    integers.
     """
 
     clients: tuple[int, ...]
     servers: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     weight: dict[int, int]
-    original_weight: dict[int, int] | None = None
 
     # adjacency caches, filled in __post_init__
     client_adj: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
@@ -47,6 +46,10 @@ class Instance:
 
     def __post_init__(self) -> None:
         cset, sset = set(self.clients), set(self.servers)
+        for kind, ids, unique in (("client", self.clients, cset), ("server", self.servers, sset)):
+            if len(ids) != len(unique):
+                repeated = next(i for i, count in Counter(ids).items() if count > 1)
+                raise InstanceError(f"{kind} id {repeated} is repeated")
         if cset & sset:
             raise InstanceError(f"client/server id overlap: {sorted(cset & sset)[:5]}")
         n = len(cset) + len(sset)
@@ -160,7 +163,7 @@ def normalize_weights(inst: Instance) -> Instance:
     (rounded up), then each weight is rounded up to the nearest power of two.
     A power-of-two rounded weight that still exceeds n is clamped down to the
     largest power of two <= n, which keeps the stated invariant and makes the
-    operation idempotent.  Original weights are retained for reporting.
+    operation idempotent.
     """
     n = inst.n
     W = inst.max_weight
@@ -174,8 +177,7 @@ def normalize_weights(inst: Instance) -> Instance:
         if w > n:
             w = cap
         new_w[c] = w
-    original = inst.original_weight if inst.original_weight is not None else dict(inst.weight)
-    return Instance(inst.clients, inst.servers, inst.edges, new_w, dict(original))
+    return Instance(inst.clients, inst.servers, inst.edges, new_w)
 
 
 def weight_classes(inst: Instance) -> list[WeightClassView]:

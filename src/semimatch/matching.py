@@ -88,9 +88,6 @@ class CapMatching:
             self.server_deg[s] += x
         self.check_feasible()
 
-    def degree(self, v: int) -> int:
-        return self.client_deg[v] if v in self.client_deg else self.server_deg[v]
-
     def client_saturated(self, c: int) -> bool:
         return self.client_deg[c] >= self.profile.kappa[c]
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from semimatch import build_instance, generate_instance, matching, solvers, write_instance
+from semimatch import (
+    build_instance, generate_instance, matching, oracle, solvers, write_instance,
+)
 from semimatch.cli import main
 from semimatch.simulate import by_name
 from conftest import count_calls, first_perfect, random_unit, random_weighted
@@ -127,6 +129,46 @@ class TestSolveExitCodes:
     def test_backup_requires_r(self, unit_file, capsys):
         code, _, err = run_cli(capsys, "solve", unit_file, "--algo", "backup")
         assert code == 1
+
+
+class TestRejectedInput:
+    """Input the CLI used to accept and ignore exits 1 with a JSON error
+    that names the field."""
+
+    @pytest.mark.parametrize("doc,detail", [
+        ({"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1}, {"id": 1}],
+          "edges": [[0, 1]]}, "server id 1 is repeated"),
+        ({"clients": [{"id": 0, "weight": 2}, {"id": 0, "weight": 2}, {"id": 1, "weight": 1}],
+          "servers": [{"id": 2}], "edges": [[0, 2], [1, 2]]}, "client id 0 is repeated"),
+    ])
+    @pytest.mark.parametrize("argv", [("--algo", "congest-unweighted", "--simulate"),
+                                      ("--algo", "seq")])
+    def test_repeated_id(self, tmp_path, capsys, doc, detail, argv):
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), *argv)
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err) == {"error": "InstanceError", "detail": f"{path}: {detail}"}
+
+    def test_trace_out_without_simulate(self, unit_file, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        code, stdout, err = run_cli(capsys, "solve", unit_file, "--algo", "congest-unweighted",
+                                    "--trace-out", str(trace_path))
+        assert code == 1
+        assert stdout == ""
+        assert "--trace-out" in json.loads(err)["detail"]
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("algo", ["seq", "congest-unweighted", "congest-weighted",
+                                      "local-weighted"])
+    def test_r_without_backup(self, unit_file, capsys, algo):
+        code, stdout, err = run_cli(capsys, "solve", unit_file, "--algo", algo, "--r", "3")
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["detail"].startswith("--r ")
 
 
 class TestBadArguments:
@@ -735,3 +777,74 @@ class TestBench:
             direct, simulated = list(csv.reader(fh))[1:]
         assert direct[4] == simulated[4]  # same r, same max load
         assert simulated[6] != ""
+
+    @pytest.mark.parametrize("entry,detail", [
+        ({"algo": "seq", "r": 2}, "suite entry r is the replication factor of backup"),
+        ({"algo": "congest-unweighted", "r": 1, "simulate": True}, "suite entry r "),
+        ({"algo": "congest-unweighted", "simualte": True}, "unknown key 'simualte'"),
+        ({"algo": "congest-unweighted", "simulate": "no"}, "simulate must be true or false"),
+        ({"algo": "congest-unweighted", "simulate": 1}, "simulate must be true or false"),
+        ({"algo": "congest-unweighted", "oracle": "yes"}, "oracle must be true or false"),
+        ({"algo": "backup", "r": 2, "oracle": None}, "oracle must be true or false"),
+    ])
+    def test_suite_rejects_ignored_input(self, tmp_path, capsys, monkeypatch, entry, detail):
+        runs = count_calls(monkeypatch, solvers, "solve_unweighted")
+        star = {"generator": "star", "params": {"n_clients": 5}}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([{**star, "algo": "congest-unweighted"},
+                                          {**star, **entry}]))
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert detail in error["detail"]
+        assert not out.exists()
+        assert runs == []  # rejected before any row runs
+
+    @pytest.mark.parametrize("entry,argv", [
+        # against the optimum single assignment this row's ratio would read 1.5
+        ({"algo": "backup", "r": 2}, ("--r", "2")),
+        ({"algo": "backup", "r": 3}, ("--r", "3")),
+        ({"algo": "congest-unweighted"}, ()),
+        ({"algo": "seq"}, ()),
+    ])
+    def test_suite_ratio_is_solve_oracle_ratio(self, tmp_path, capsys, entry, argv):
+        spec = {"generator": "random-bipartite", "seed": 3,
+                "params": {"n_clients": 6, "n_servers": 4, "p": 0.9}}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([{**spec, **entry, "oracle": True}]))
+        out = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--suite", str(suite_path), "-o", str(out))
+        assert code == 0
+        with open(out) as fh:
+            (row,) = list(csv.DictReader(fh))
+        path = tmp_path / "inst.json"
+        write_instance(generate_instance(spec["generator"], seed=3, **spec["params"]), path)
+        code, stdout, _ = run_cli(capsys, "solve", str(path), "--algo", entry["algo"], *argv,
+                                  "--oracle")
+        assert code == 0
+        report = json.loads(stdout)
+        optima = report["oracle"]
+        expected = optima["ratio_linf"] if entry["algo"] == "backup" else optima["ratios"]["inf"]
+        assert float(row["ratio"]) == expected
+        assert int(row["linf"]) == max(report["loads"].values())
+
+    @pytest.mark.parametrize("name,doubled,entry,argv", [
+        ("opt_allnorm_enum",
+         lambda exact: lambda inst, ps: ({p: 2 * v for p, v in exact(inst, ps)[0].items()}, None),
+         {"algo": "seq"}, ()),
+        ("opt_backup_enum", lambda exact: lambda inst, r: 2 * exact(inst, r),
+         {"algo": "backup", "r": 1}, ("--r", "1")),
+    ], ids=["seq", "backup"])
+    def test_ratio_below_one_raises_as_solve_does(self, unit_file, tmp_path, monkeypatch,
+                                                  name, doubled, entry, argv):
+        monkeypatch.setattr(oracle, name, doubled(getattr(oracle, name)))
+        with pytest.raises(AssertionError, match="beat the exact optimum"):
+            main(["solve", unit_file, "--algo", entry["algo"], *argv, "--oracle"])
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([{"generator": "star", "params": {"n_clients": 5},
+                                           **entry, "oracle": True}]))
+        with pytest.raises(AssertionError, match="beat the exact optimum"):
+            main(["bench", "--suite", str(suite_path), "-o", str(tmp_path / "b.csv")])

@@ -45,6 +45,14 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             build_instance([0], [1], [(0, 5)])
 
+    @pytest.mark.parametrize("clients,servers,detail", [
+        ([0, 0, 1], [2], "client id 0 is repeated"),
+        ([0], [1, 1], "server id 1 is repeated"),
+    ])
+    def test_repeated_id_rejected(self, clients, servers, detail):
+        with pytest.raises(InstanceError, match=detail):
+            build_instance(clients, servers, [(0, servers[0])])
+
     def test_sparse_ids_rejected(self):
         with pytest.raises(InstanceError):
             build_instance([0], [7], [(0, 7)])
@@ -58,7 +66,6 @@ class TestNormalizeWeights:
         )
         norm = normalize_weights(inst)
         assert [norm.weight[c] for c in range(3)] == [4, 8, 8]
-        assert norm.original_weight == {0: 3, 1: 5, 2: 8}
 
     @pytest.mark.parametrize(
         "w, n_extra_servers, expected",
@@ -292,4 +299,16 @@ class TestFileIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**good, **doc}))
         with pytest.raises(InstanceError, match=re.escape(field)):
+            read_instance(path)
+
+    @pytest.mark.parametrize("doc,detail", [
+        ({"servers": [{"id": 1}, {"id": 1}]}, "server id 1 is repeated"),
+        ({"clients": [{"id": 0, "weight": 1}, {"id": 0, "weight": 2}]},
+         "client id 0 is repeated"),
+    ])
+    def test_repeated_id_named_with_path(self, tmp_path, doc, detail):
+        good = {"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1}], "edges": [[0, 1]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**good, **doc}))
+        with pytest.raises(InstanceError, match=re.escape(f"{path}: {detail}")):
             read_instance(path)
