@@ -5,12 +5,10 @@ simulations, and brute-force oracles for small instances.
 """
 
 from .instance import (
-    ExpandedInstance,
     Instance,
     InstanceError,
     WeightClassView,
     build_instance,
-    client_expand,
     generate_instance,
     normalize_weights,
     read_instance,

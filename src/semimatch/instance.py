@@ -1,4 +1,4 @@
-"""Bipartite client/server instances: construction, normalization, expansion, I/O.
+"""Bipartite client/server instances: construction, normalization, weight classes, I/O.
 
 An instance is a bipartite graph on dense integer ids in [0, n).  Clients carry
 positive integer weights; servers accumulate load.  All objects here are
@@ -95,7 +95,8 @@ class Instance:
     @property
     def n_expanded(self) -> int:
         """Vertex count of the client-expanded graph: w(c) copies of each
-        client c, plus the servers."""
+        client c, plus the servers.  The graph itself is never built: its
+        schedule runs on this one with client capacities w."""
         return self.total_weight + len(self.servers)
 
     def is_unit_weight(self) -> bool:
@@ -127,20 +128,6 @@ class WeightClassView:
     @property
     def class_weight(self) -> int:
         return 1 << self.class_index
-
-
-@dataclass
-class ExpandedInstance:
-    """Client-expanded graph: each client replaced by w(c) unit-weight copies."""
-
-    base: Instance
-    instance: Instance
-    copy_of: dict[int, tuple[int, int]]  # expanded client -> (base client, copy idx)
-    server_map: dict[int, int]  # base server -> expanded server id
-    server_unmap: dict[int, int] = field(init=False, repr=False)  # the inverse
-
-    def __post_init__(self) -> None:
-        self.server_unmap = {v: k for k, v in self.server_map.items()}
 
 
 def build_instance(
@@ -200,30 +187,6 @@ def weight_classes(inst: Instance) -> list[WeightClassView]:
         srv = tuple(sorted({s for _, s in es}))
         views.append(WeightClassView(i, tuple(by_class[i]), srv, es))
     return views
-
-
-def client_expand(inst: Instance, max_expanded_clients: int = 10**6) -> ExpandedInstance:
-    """Replace each client by w(c) unit-weight copies with the same neighbors."""
-    total = inst.total_weight
-    if total > max_expanded_clients:
-        raise InstanceError(
-            f"expansion would create {total} clients, above the cap {max_expanded_clients}"
-        )
-    copy_of = {}
-    next_id = 0
-    for c in inst.clients:
-        for j in range(1, inst.weight[c] + 1):
-            copy_of[next_id] = (c, j)
-            next_id += 1
-    server_map = {s: next_id + i for i, s in enumerate(inst.servers)}
-    edges = []
-    for cid, (c, _) in copy_of.items():
-        for s in inst.client_adj[c]:
-            edges.append((cid, server_map[s]))
-    expanded = build_instance(
-        range(next_id), server_map.values(), edges, {c: 1 for c in range(next_id)}
-    )
-    return ExpandedInstance(inst, expanded, copy_of, server_map)
 
 
 def induced_subinstance(view: WeightClassView) -> Instance:

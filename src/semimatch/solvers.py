@@ -7,7 +7,8 @@
   schedule of ``unit_schedule``.
 * ``solve_weighted_congest``: per-weight-class reduction to the unweighted
   solver (O(log n)-approximate).
-* ``solve_weighted_local``: client-expansion emulation plus per-class
+* ``solve_weighted_local``: the client-expanded graph's schedule, run on the
+  base graph with client capacities w (``unit_schedule``), plus per-class
   capacity-guided re-matching (O(1)-approximate).
 * ``split_assignment_seq`` / ``solve_sequential``: blocking-flow schedule
   producing a split assignment, then cycle-cancelling rounding.
@@ -27,12 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instance import (
-    Instance,
-    client_expand,
-    induced_subinstance,
-    weight_classes,
-)
+from .instance import Instance, induced_subinstance, weight_classes
 from .matching import (
     CapacityProfile,
     blocking_flow_matching,
@@ -60,11 +56,15 @@ class LoadVector:
         values = list(self.loads.values())
         if not values:
             return 0.0
-        if p == math.inf or p == "inf":
+        if p == math.inf:
             return float(max(values))
         if p == 1:
             return float(sum(values))
-        return sum(v**p for v in values) ** (1.0 / p)
+        try:
+            return sum(v**p for v in values) ** (1.0 / p)
+        except OverflowError:  # v**p past the float range: scale by the max
+            top = max(values)
+            return top * sum((v / top) ** p for v in values) ** (1.0 / p)
 
     def power_sum(self, p: int) -> int:
         """Sum of p-th powers, exact in integers (for tolerance-free ratio
@@ -148,13 +148,25 @@ def b_schedule(limit: int) -> list[int]:
 
 
 def unit_schedule(inst: Instance, r: int):
-    """The unit-weight doubling schedule, lazily: per budget B, (B, an
-    (r, 2B)-matching free of augmenting paths of length <= short_path_bound(n)),
-    simple when r > 1 (with r = 1 no edge can carry two units anyway)."""
-    k = short_path_bound(inst.n)
+    """The doubling schedule of the client-expanded graph, run on the base
+    graph, lazily: per budget B of ``b_schedule(n')``, (B, an (r*w, 2B)-matching
+    free of augmenting paths of length <= short_path_bound(n')), where
+    n' = ``inst.n_expanded``; simple when r > 1 (with r = 1 no cap is needed).
+
+    The expanded graph replaces each client c by w(c) unit-weight copies,
+    each with all of c's edges; kappa = w stands for them.  Base edges have no
+    cap, so an expanded augmenting path through two copies of one client
+    shortcuts to a base path that is no longer.  A base matching with no
+    augmenting path of length <= k therefore lifts to an expanded matching
+    with none, whichever copies hold the units.  With unit weights n' = n and
+    kappa = r: the unit-weight schedule itself.
+    """
+    k = short_path_bound(inst.n_expanded)
+    kappa = {c: r * inst.weight[c] for c in inst.clients}
     edge_cap = None if r == 1 else 1
-    for B in b_schedule(inst.n):
-        yield B, eliminate_short_paths(inst, CapacityProfile.uniform(inst, r, 2 * B, edge_cap), k)
+    for B in b_schedule(inst.n_expanded):
+        tau = {s: 2 * B for s in inst.servers}
+        yield B, eliminate_short_paths(inst, CapacityProfile(kappa, tau, edge_cap), k)
 
 
 def split_schedule(inst: Instance):
@@ -225,22 +237,22 @@ def solve_weighted_congest(inst: Instance) -> Assignment:
 
 
 def solve_weighted_local(inst: Instance) -> Assignment:
-    """Client-expansion emulation followed by per-class re-matching.
+    """The expanded schedule followed by per-class re-matching.
 
-    First solves the unweighted problem on the client-expanded graph; then,
-    per weight class, converts the restricted loads into server capacities,
+    First places every client's w(c) units by ``unit_schedule(inst, 1)``, the
+    unweighted solver's schedule on the client-expanded graph; then, per
+    weight class, converts the restricted loads into server capacities,
     doubles them (scaled by the class weight), and computes a short-path-free
     unit matching whose client-perfectness is guaranteed structurally.
     """
     _require_normalized(inst)
     _check_feasible(inst)
-    exp = client_expand(inst)
-    k = short_path_bound(exp.instance.n)
-    # loads of the expanded assignment per (class weight, base server)
+    k = short_path_bound(inst.n_expanded)
+    # units the expanded schedule places per (class weight, server)
     restricted: dict[tuple[int, int], int] = {}
-    for cid, (s_exp,) in _adopt(exp.instance, unit_schedule(exp.instance, 1), 1).items():
-        key = (inst.weight[exp.copy_of[cid][0]], exp.server_unmap[s_exp])
-        restricted[key] = restricted.get(key, 0) + 1
+    for (c, s), units in _split(inst, unit_schedule(inst, 1)).mult.items():
+        key = (inst.weight[c], s)
+        restricted[key] = restricted.get(key, 0) + units
 
     def solve_class(view, sub):
         wi = view.class_weight

@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,3 +49,26 @@ def random_weighted(seed, nc=8, ns=4, p=0.5, max_weight=8, normalized=True):
         "weighted-random", seed=seed, n_clients=nc, n_servers=ns, p=p, max_weight=max_weight
     )
     return normalize_weights(inst) if normalized else inst
+
+
+def client_expand(inst):
+    """The client-expanded graph the weighted schedule runs implicitly: each
+    client c replaced by w(c) unit-weight copies with c's edges.  Has
+    ``instance``, ``copy_of`` (copy -> (base client, copy index)) and
+    ``server_map`` (base server -> expanded server)."""
+    copy_of = {}
+    for c in inst.clients:
+        for j in range(1, inst.weight[c] + 1):
+            copy_of[len(copy_of)] = (c, j)
+    server_map = {s: len(copy_of) + i for i, s in enumerate(inst.servers)}
+    edges = [(cid, server_map[s]) for cid, (c, _) in copy_of.items() for s in inst.client_adj[c]]
+    expanded = build_instance(copy_of, server_map.values(), edges)
+    return SimpleNamespace(instance=expanded, copy_of=copy_of, server_map=server_map)
+
+
+def heavy_instance():
+    """1000 clients of weight 1024 on 24 servers, two edges each: a
+    normalized instance whose expanded graph has 1,024,024 vertices."""
+    servers = range(1000, 1024)
+    edges = [(c, 1000 + (c + i) % 24) for c in range(1000) for i in (0, 1)]
+    return build_instance(range(1000), servers, edges, {c: 1024 for c in range(1000)})

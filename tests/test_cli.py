@@ -8,7 +8,7 @@ from semimatch import (
 )
 from semimatch.cli import main
 from semimatch.simulate import by_name
-from conftest import count_calls, first_perfect, random_unit, random_weighted
+from conftest import count_calls, first_perfect, heavy_instance, random_unit, random_weighted
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +291,14 @@ class TestSolveReports:
         _, stdout, _ = run_cli(capsys, "solve", unit_file, "--algo", "seq", "--p", "4")
         assert "4.0" in json.loads(stdout)["norms"]
 
+    def test_extra_norm_past_float_range(self, unit_file, capsys):
+        # load**2000 overflows a float; the norm is scaled by the max load
+        code, stdout, _ = run_cli(capsys, "solve", unit_file, "--algo", "seq", "--p", "2000")
+        assert code == 0
+        norms = json.loads(stdout)["norms"]
+        assert norms["inf"] >= 2
+        assert norms["inf"] <= norms["2000.0"] <= norms["inf"] * 1.01
+
     def test_deterministic_report(self, unit_file, capsys):
         _, out1, _ = run_cli(capsys, "solve", unit_file, "--algo", "seq")
         _, out2, _ = run_cli(capsys, "solve", unit_file, "--algo", "seq")
@@ -408,6 +416,18 @@ class TestVerify:
         entry = json.loads(stdout)["checks"][0]
         assert entry["pass"] is True
         assert "reason" not in entry
+
+    def test_budget_check_of_local_weighted_past_a_million_units(self, tmp_path, capsys):
+        # total weight 1,024,000: local-weighted builds no expanded graph
+        inst_path, trace_path = tmp_path / "heavy.json", tmp_path / "trace.json"
+        write_instance(heavy_instance(), inst_path)
+        code, _, err = run_cli(capsys, "solve", str(inst_path), "--algo", "local-weighted",
+                               "--simulate", "--trace-out", str(trace_path))
+        assert code == 0, err
+        code, stdout, _ = run_cli(capsys, "verify", str(inst_path), str(trace_path),
+                                  "--check", "budget")
+        assert code == 0
+        assert json.loads(stdout)["pass"] is True
 
     def test_budget_check_rejects_trace_of_another_instance(self, tmp_path, capsys):
         big, small = tmp_path / "big.json", tmp_path / "small.json"

@@ -7,7 +7,6 @@ import pytest
 from semimatch import (
     InstanceError,
     build_instance,
-    client_expand,
     generate_instance,
     normalize_weights,
     read_instance,
@@ -15,7 +14,7 @@ from semimatch import (
     write_instance,
 )
 from semimatch.instance import induced_subinstance
-from conftest import random_weighted
+from conftest import client_expand, random_weighted
 
 
 class TestBuildInstance:
@@ -145,6 +144,8 @@ class TestWeightClasses:
 
 
 class TestClientExpand:
+    """The test-only expanded graph the lift property checks against."""
+
     def test_single_weighted_client(self):
         inst = build_instance([0], [1, 2], [(0, 1), (0, 2)], {0: 3})
         exp = client_expand(inst)
@@ -162,11 +163,6 @@ class TestClientExpand:
         exp = client_expand(inst)
         assert len(exp.instance.clients) == 3
         assert all(exp.instance.client_adj[c] for c in exp.instance.clients)
-
-    def test_expansion_cap(self):
-        inst = build_instance([0], [1], [(0, 1)], {0: 50})
-        with pytest.raises(InstanceError, match="cap"):
-            client_expand(inst, max_expanded_clients=10)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_total_weight_preserved(self, seed):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from semimatch import (
     Assignment,
+    CapacityProfile,
+    CapMatching,
     InfeasibleError,
     LoadVector,
     MultiAssignment,
@@ -26,9 +28,49 @@ from semimatch.oracle import (
     opt_minmax_unweighted,
     opt_power_sums,
     opt_split,
+    verify_no_short_aug_paths,
 )
 from semimatch.solvers import b_schedule, short_path_bound, split_schedule, unit_schedule
-from conftest import count_calls, first_perfect, random_unit, random_weighted
+from conftest import (
+    client_expand,
+    count_calls,
+    first_perfect,
+    heavy_instance,
+    random_unit,
+    random_weighted,
+)
+
+
+@st.composite
+def feasible_instances(draw, weighted):
+    """A small instance in which every client has a server; power-of-two
+    weights of at most n when ``weighted``, else unit weights."""
+    nc, ns = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    servers = range(nc, nc + ns)
+    edges = []
+    for c in range(nc):
+        row = draw(st.lists(st.sampled_from(servers), min_size=1, unique=True))
+        edges.extend((c, s) for s in row)
+    weights = None
+    if weighted:
+        top = (nc + ns).bit_length() - 1
+        weights = {c: 1 << draw(st.integers(0, top)) for c in range(nc)}
+    return build_instance(range(nc), servers, edges, weights)
+
+
+def lift(exp, x):
+    """A base matching ``x`` with kappa = w as a unit matching of the
+    expanded graph ``exp``: each client's units go to its copies in copy
+    order, server by ascending id."""
+    units = {c: [s for s in x.inst.client_adj[c] for _ in range(x.mult.get((c, s), 0))]
+             for c in x.inst.clients}
+    mult = {}
+    for cid, (c, j) in exp.copy_of.items():
+        if j <= len(units[c]):
+            mult[(cid, exp.server_map[units[c][j - 1]])] = 1
+    profile = CapacityProfile({cid: 1 for cid in exp.copy_of},
+                              {exp.server_map[s]: t for s, t in x.profile.tau.items()})
+    return CapMatching(exp.instance, profile, mult)
 
 
 class TestLoadVector:
@@ -37,10 +79,15 @@ class TestLoadVector:
         assert lv.norm(1) == 7.0
         assert lv.norm(2) == 5.0
         assert lv.norm(math.inf) == 4.0
-        assert lv.norm("inf") == 4.0
         assert lv.power_sum(3) == 27 + 64
         assert lv.max() == 4
         assert lv.total() == 7
+
+    def test_norm_past_float_range(self):
+        # 4.0**1000 overflows a float: the norm falls back to max-scaling
+        lv = LoadVector({0: 4, 1: 4, 2: 1})
+        assert lv.norm(1000.0) == pytest.approx(4 * 2 ** (1 / 1000))
+        assert lv.norm(1000) == pytest.approx(4 * 2 ** (1 / 1000))
 
     def test_empty(self):
         assert LoadVector({}).norm(2) == 0.0
@@ -158,6 +205,25 @@ class TestWeightedLocal:
         assert a.load_vector().power_sum(p) <= 36**p * opt
 
 
+    def test_no_expansion_cap(self):
+        inst = heavy_instance()
+        assert inst.is_normalized() and inst.n_expanded == 1_024_024
+        a = solve_weighted_local(inst)
+        assert a.load_vector().total() == inst.total_weight
+
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_instances(weighted=True))
+    def test_schedule_lifts_to_the_expanded_graph(self, inst):
+        # each budget matching, with its units spread over the client copies,
+        # has no short augmenting path in the explicitly expanded graph
+        exp = client_expand(inst)
+        k = short_path_bound(inst.n_expanded)
+        for B, x in unit_schedule(inst, 1):
+            assert x.profile.kappa == inst.weight
+            y = lift(exp, x)
+            assert verify_no_short_aug_paths(exp.instance, y.profile, y, k) is True
+
+
 class TestSplitSequential:
     def test_split_is_total(self, chain):
         split = split_assignment_seq(chain)
@@ -225,23 +291,6 @@ class TestBackup:
         )
         out = solve_backup(inst, 2)
         assert out.load_vector().loads == {2: 3, 3: 3}
-
-
-@st.composite
-def feasible_instances(draw, weighted):
-    """A small instance in which every client has a server; power-of-two
-    weights of at most n when ``weighted``, else unit weights."""
-    nc, ns = draw(st.integers(1, 8)), draw(st.integers(1, 5))
-    servers = range(nc, nc + ns)
-    edges = []
-    for c in range(nc):
-        row = draw(st.lists(st.sampled_from(servers), min_size=1, unique=True))
-        edges.extend((c, s) for s in row)
-    weights = None
-    if weighted:
-        top = (nc + ns).bit_length() - 1
-        weights = {c: 1 << draw(st.integers(0, top)) for c in range(nc)}
-    return build_instance(range(nc), servers, edges, weights)
 
 
 class TestBackupWithOneCopy:
