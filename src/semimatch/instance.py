@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,6 +35,14 @@ class Instance:
     clients / servers are disjoint dense id ranges covering [0, n), with no
     id repeated; edges join one client and one server; weights are positive
     integers.
+
+    Construction sorts ``clients``, ``servers`` and ``edges``, and fills
+    ``client_adj`` and ``server_adj`` in ascending id order.  Edge id e names
+    ``edges[e]``.  Since edges sort by client first, client c's edges are
+    the contiguous ids ``edge_start[c] + i``, one per ``client_adj[c][i]``.
+    Server s's edge ids sit at ``server_edges[edge_start[s] + i]``, one per
+    ``server_adj[s][i]``.  ``edge_start`` is indexed by vertex id; both
+    arrays are C ints, for the matching engine's edge-indexed state.
     """
 
     clients: tuple[int, ...]
@@ -40,9 +50,11 @@ class Instance:
     edges: tuple[tuple[int, int], ...]
     weight: dict[int, int]
 
-    # adjacency caches, filled in __post_init__
+    # adjacency caches and the edge-id layout, filled in __post_init__
     client_adj: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     server_adj: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    edge_start: array = field(default_factory=lambda: array("i"), repr=False)
+    server_edges: array = field(default_factory=lambda: array("i"), repr=False)
 
     def __post_init__(self) -> None:
         cset, sset = set(self.clients), set(self.servers)
@@ -57,24 +69,42 @@ class Instance:
             raise InstanceError("ids must be dense integers in [0, n)")
         if len(self.edges) != len(set(self.edges)):
             raise InstanceError("duplicate edges are not allowed")
+        self.clients = tuple(sorted(self.clients))
+        self.servers = tuple(sorted(self.servers))
+        # sorted edges fill every adjacency list in ascending id order
         ca: dict[int, list[int]] = {c: [] for c in self.clients}
         sa: dict[int, list[int]] = {s: [] for s in self.servers}
-        for c, s in self.edges:
-            if c not in cset:
-                raise InstanceError(f"edge ({c}, {s}): {c} is not a client")
-            if s not in sset:
-                raise InstanceError(f"edge ({c}, {s}): {s} is not a server")
-            ca[c].append(s)
-            sa[s].append(c)
+        se: dict[int, list[int]] = {s: [] for s in self.servers}
+        try:
+            edges = tuple(sorted(self.edges))
+            for e, (c, s) in enumerate(edges):
+                ca[c].append(s)
+                sa[s].append(c)
+                se[s].append(e)
+        except (KeyError, TypeError):  # an end that is not a client or server
+            for c, s in self.edges:
+                if c not in cset:
+                    raise InstanceError(f"edge ({c}, {s}): {c} is not a client") from None
+                if s not in sset:
+                    raise InstanceError(f"edge ({c}, {s}): {s} is not a server") from None
+            raise
         for c in self.clients:
             w = self.weight.get(c)
             if w is None or w <= 0:
                 raise InstanceError(f"client {c} must have a positive weight, got {w}")
-        self.clients = tuple(sorted(self.clients))
-        self.servers = tuple(sorted(self.servers))
-        self.edges = tuple(sorted(self.edges))
-        self.client_adj = {c: tuple(sorted(ca[c])) for c in self.clients}
-        self.server_adj = {s: tuple(sorted(sa[s])) for s in self.servers}
+        self.edges = edges
+        self.client_adj = {c: tuple(ca[c]) for c in self.clients}
+        self.server_adj = {s: tuple(sa[s]) for s in self.servers}
+        start = array("i", [0]) * n
+        first = 0
+        for c in self.clients:
+            start[c] = first
+            first += len(ca[c])
+        server_edges = array("i")
+        for s in self.servers:
+            start[s] = len(server_edges)
+            server_edges.fromlist(se[s])
+        self.edge_start, self.server_edges = start, server_edges
 
     @property
     def n(self) -> int:
@@ -111,6 +141,14 @@ class Instance:
         if v in self.client_adj:
             return len(self.client_adj[v])
         return len(self.server_adj[v])
+
+    def edge_id(self, c: int, s: int) -> int | None:
+        """The id of edge (c, s), or None when it is not an edge."""
+        adj = self.client_adj.get(c)
+        if adj is None:
+            return None
+        i = bisect_left(adj, s)
+        return self.edge_start[c] + i if i < len(adj) and adj[i] == s else None
 
     def zero_degree_clients(self) -> list[int]:
         return [c for c in self.clients if not self.client_adj[c]]

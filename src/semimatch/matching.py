@@ -5,15 +5,23 @@ capacities kappa, server capacities tau, and an optional uniform edge cap.
 The engine works on the residual orientation: client -> server while the edge
 has capacity left, server -> client while the edge has positive multiplicity.
 
-It is built from two pieces:
+``CapMatching`` is the public result: dicts keyed by edge (c, s) and by
+vertex, which the oracles, the dumps, the rounding and the solvers read.
+The engine itself runs on ``_Residual``, flat lists indexed by the
+instance's edge ids and vertex ids (see ``Instance``): the multiplicity of
+every edge, and the degree and capacity of every vertex.  It is built from
+three pieces:
 
-* ``_bfs``, the one layered breadth-first search.  Started from a given set of
-  clients, it labels residual vertices by distance and stops once the layer
+* ``_bfs``, the one layered breadth-first search.  Started from a given list
+  of clients, it labels residual vertices by distance and stops once the layer
   holding the nearest unsaturated server is complete (or at a length limit).
+* ``_blocking_phase``, which saturates that layered graph from the same list
+  of clients with an iterative current-arc DFS.
 * ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Each
-  phase layers the residual graph from every unsaturated client and saturates
-  the layered graph of the current shortest augmenting-path length with an
-  iterative current-arc DFS, so that length strictly increases per phase.
+  phase layers the residual graph from every unsaturated client and blocks
+  it at the current shortest augmenting-path length, so that length strictly
+  increases per phase.  Its state lives in one ``_Residual`` for the whole
+  loop and becomes a ``CapMatching`` once, at the end.
 
 The entry points are thin: ``eliminate_short_paths`` runs phases until no
 augmenting path of length <= k remains, ``blocking_flow_matching`` runs a
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .instance import Instance
 
@@ -71,7 +80,13 @@ class CapacityProfile:
 
 @dataclass
 class CapMatching:
-    """Edge multiplicities under a CapacityProfile, with cached degrees."""
+    """Edge multiplicities under a CapacityProfile, with cached degrees.
+
+    The public view of a matching: ``mult`` maps each edge (c, s) of
+    positive multiplicity to it, ``client_deg`` and ``server_deg`` give every
+    vertex's matched degree.  A key that is not an edge of ``inst`` is
+    rejected.
+    """
 
     inst: Instance
     profile: CapacityProfile
@@ -81,12 +96,27 @@ class CapMatching:
         self.client_deg = {c: 0 for c in self.inst.clients}
         self.server_deg = {s: 0 for s in self.inst.servers}
         for (c, s), x in list(self.mult.items()):
+            self._check_edge(c, s)
             if x == 0:
                 del self.mult[(c, s)]
                 continue
             self.client_deg[c] += x
             self.server_deg[s] += x
         self.check_feasible()
+
+    @classmethod
+    def _built(cls, inst: Instance, profile: CapacityProfile, mult: dict[tuple[int, int], int],
+               client_deg: dict[int, int], server_deg: dict[int, int]) -> "CapMatching":
+        """The view of a matching the engine built, feasible on instance
+        edges by construction, so the checks of ``__init__`` are skipped."""
+        x = cls.__new__(cls)
+        x.inst, x.profile, x.mult = inst, profile, mult
+        x.client_deg, x.server_deg = client_deg, server_deg
+        return x
+
+    def _check_edge(self, c: int, s: int) -> None:
+        if self.inst.edge_id(c, s) is None:
+            raise ValueError(f"({c}, {s}) is not an edge of the instance")
 
     def client_saturated(self, c: int) -> bool:
         return self.client_deg[c] >= self.profile.kappa[c]
@@ -95,6 +125,7 @@ class CapMatching:
         return self.server_deg[s] >= self.profile.tau[s]
 
     def add(self, c: int, s: int, amount: int) -> None:
+        self._check_edge(c, s)
         x = self.mult.get((c, s), 0) + amount
         if x < 0:
             raise ValueError(f"negative multiplicity on edge ({c}, {s})")
@@ -134,27 +165,70 @@ def is_client_perfect(inst: Instance, matching: CapMatching) -> bool:
     return all(matching.client_deg[c] == matching.profile.kappa[c] for c in inst.clients)
 
 
-def _free_clients(inst: Instance, matching: CapMatching) -> list[int]:
-    kappa, deg = matching.profile.kappa, matching.client_deg
-    return [c for c in inst.clients if deg[c] < kappa[c]]
+class _Residual:
+    """The engine's working state on ``inst``'s ids: ``mult[e]`` is the
+    multiplicity of edge id e, ``deg[v]`` the matched degree of vertex v and
+    ``cap[v]`` its capacity (kappa for a client, tau for a server);
+    ``edge_cap`` caps every edge (inf when unbounded).  Starts from
+    ``matching`` when given, else empty."""
+
+    __slots__ = ("inst", "profile", "edge_cap", "mult", "deg", "cap")
+
+    def __init__(self, inst: Instance, profile: CapacityProfile,
+                 matching: CapMatching | None = None) -> None:
+        self.inst, self.profile, self.edge_cap = inst, profile, profile.cap()
+        self.cap = [0] * inst.n
+        for c in inst.clients:
+            self.cap[c] = profile.kappa[c]
+        for s in inst.servers:
+            self.cap[s] = profile.tau[s]
+        self.mult = [0] * inst.m
+        self.deg = [0] * inst.n
+        if matching is not None:
+            for (c, s), x in matching.mult.items():
+                self.mult[inst.edge_id(c, s)] = x
+            for degrees in (matching.client_deg, matching.server_deg):
+                for v, d in degrees.items():
+                    self.deg[v] = d
+
+    def free_clients(self) -> list[int]:
+        deg, cap = self.deg, self.cap
+        return [c for c in self.inst.clients if deg[c] < cap[c]]
+
+    def matching(self) -> CapMatching:
+        """The public dict view of this state."""
+        inst, mult, deg = self.inst, self.mult, self.deg
+        return CapMatching._built(inst, self.profile,
+                                  dict(zip(compress(inst.edges, mult), filter(None, mult))),
+                                  {c: deg[c] for c in inst.clients},
+                                  {s: deg[s] for s in inst.servers})
 
 
-def _bfs(inst: Instance, matching: CapMatching, roots: list[int], max_len: float = _INF):
+def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     """Layer the residual graph from ``roots`` (unsaturated clients).
 
-    Returns (level, parent, end): the distance and BFS parent of every
-    labelled vertex, and the first unsaturated server found (None if there is
-    none within ``max_len`` edges).  Vertices at distance >= max_len are not
-    expanded; once ``end`` is found, neither is its layer, so the labels stop
-    at the shortest augmenting-path length, Hopcroft-Karp style.  Clients sit
-    at even distances and servers at odd ones; servers with tau = 0 are left
-    out of the residual graph.
+    Returns (level, parent, end): lists by vertex id of the distance and the
+    BFS parent of every labelled vertex (-1 where unlabelled, and as the
+    parent of a root), and the first unsaturated server found (None if
+    there is none within ``max_len`` edges).  Vertices at distance >= max_len
+    are not expanded; once ``end`` is found, neither is its layer, so the
+    labels stop at the shortest augmenting-path length, Hopcroft-Karp style.
+    Clients sit at even distances and servers at odd ones; servers with
+    tau = 0 are left out of the residual graph.  An arc's multiplicity is
+    read only once its head is known to be unlabelled.
     """
-    mult, cap = matching.mult, matching.profile.cap()
-    tau, server_deg = matching.profile.tau, matching.server_deg
+    inst = state.inst
+    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj = inst.client_adj, inst.server_adj
-    level = {c: 0 for c in roots}
-    parent: dict[int, int | None] = {c: None for c in roots}
+    edge_start, server_edges = inst.edge_start, inst.server_edges
+    level = [-1] * inst.n
+    parent = [-1] * inst.n
+    for c in roots:
+        level[c] = 0
+    # vertices of each side still unlabelled: a scan toward a side with none
+    # left can label nothing, so it is skipped
+    clients_left = len(inst.clients) - len(roots)
+    servers_left = sum(1 for s in inst.servers if cap[s])
     end = None
     stop = max_len
     queue = deque(roots)
@@ -163,23 +237,30 @@ def _bfs(inst: Instance, matching: CapMatching, roots: list[int], max_len: float
         d = level[v]
         if d >= stop:
             continue
-        if d & 1 == 0:  # client: forward over residual edge capacity
-            for s in client_adj[v]:
-                if s in level or tau[s] == 0 or mult.get((v, s), 0) >= cap:
+        d += 1
+        if d & 1:  # client: forward over residual edge capacity
+            if not servers_left:
+                continue
+            for e, s in enumerate(client_adj[v], edge_start[v]):
+                if level[s] >= 0 or cap[s] == 0 or mult[e] >= edge_cap:
                     continue
-                level[s] = d + 1
+                level[s] = d
                 parent[s] = v
-                if server_deg[s] < tau[s]:
+                servers_left -= 1
+                if deg[s] < cap[s]:
                     if end is None:
-                        end, stop = s, d + 1
+                        end, stop = s, d
                 else:
                     queue.append(s)
         else:  # server: backward over matched multiplicity
-            for c in server_adj[v]:
-                if c in level or (c, v) not in mult:
+            if not clients_left:
+                continue
+            for i, c in enumerate(server_adj[v], edge_start[v]):
+                if level[c] >= 0 or not mult[server_edges[i]]:
                     continue
-                level[c] = d + 1
+                level[c] = d
                 parent[c] = v
+                clients_left -= 1
                 queue.append(c)
     return level, parent, end
 
@@ -197,77 +278,94 @@ def find_augmenting_path(
     """
     if max_len < 1 or max_len % 2 == 0:
         raise ValueError("max_len must be odd and >= 1")
+    if start_client is not None and start_client not in inst.client_adj:
+        raise ValueError(f"start_client {start_client!r} is not a client of the instance")
+    state = _Residual(inst, matching.profile, matching)
     if start_client is None:
-        roots = _free_clients(inst, matching)
+        roots = state.free_clients()
     else:
         roots = [] if matching.client_saturated(start_client) else [start_client]
-    _, parent, end = _bfs(inst, matching, roots, max_len)
+    _, parent, end = _bfs(state, roots, max_len)
     if end is None:
         return None
     path = [end]
-    while parent[path[-1]] is not None:
+    while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
     path.reverse()
     return AugPath(path)
 
 
-def _blocking_phase(inst: Instance, matching: CapMatching, level: dict[int, int],
+def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
                     target_len: int) -> None:
-    """Saturate the level graph: push flow along level-increasing residual
-    paths of exactly ``target_len`` edges until none remain.
+    """Saturate the level graph that ``_bfs`` built from ``roots``: push flow
+    along level-increasing residual paths of exactly ``target_len`` edges
+    until none remain.
 
-    Iterative current-arc DFS: ``ptr[v]`` is the next arc of v to try; it
-    stays on an arc that carried flow and moves past an arc that led to a
-    dead end.  ``path[i]`` sits at level i, so even positions are clients.
+    Iterative current-arc DFS from each root in turn: ``ptr[v]`` is the next
+    arc of v to try; it stays on an arc that carried flow and moves past an
+    arc that led to a dead end.  ``path[i]`` sits at level i, so even
+    positions are clients, and ``arcs[i]`` is the edge id from ``path[i]``
+    to the next vertex.  An arc into the target layer is taken only when its
+    server has room, and it ends the path.
     """
-    mult, cap = matching.mult, matching.profile.cap()
-    kappa, tau = matching.profile.kappa, matching.profile.tau
-    client_deg, server_deg = matching.client_deg, matching.server_deg
+    inst = state.inst
+    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj = inst.client_adj, inst.server_adj
-    ptr: dict[int, int] = {}
-    for c in inst.clients:
-        while client_deg[c] < kappa[c] and level.get(c) == 0:
-            path, limits = [c], [kappa[c] - client_deg[c]]
+    edge_start, server_edges = inst.edge_start, inst.server_edges
+    ptr = [0] * inst.n
+    # target-layer servers with room: once none is left, no path can end
+    open_ends = sum(1 for s in inst.servers if level[s] == target_len and deg[s] < cap[s])
+    for c in roots:
+        while open_ends and deg[c] < cap[c]:
+            path, arcs, limits = [c], [], [cap[c] - deg[c]]
             got = 0
             while path:
-                d = len(path) - 1
+                d = len(path)  # level of the next vertex
                 v = path[-1]
-                if d == target_len:  # a server; end of the path if it has room
-                    room = tau[v] - server_deg[v]
-                    if room > 0:
-                        got = min(limits[-1], room)
-                        break
-                else:
-                    client = d & 1 == 0
-                    adj = client_adj[v] if client else server_adj[v]
-                    i = ptr.get(v, 0)
+                i = ptr[v]
+                if d & 1:  # a client: forward arcs to servers
+                    adj, first = client_adj[v], edge_start[v]
                     while i < len(adj):
                         u = adj[i]
-                        if level.get(u) == d + 1:
-                            if client:
-                                residual = cap - mult.get((v, u), 0)
-                            else:
-                                residual = mult.get((u, v), 0)
+                        if level[u] == d:
+                            e = first + i
+                            residual = edge_cap - mult[e]
+                            if residual > 0 and (d < target_len or deg[u] < cap[u]):
+                                break
+                        i += 1
+                else:  # a server: backward arcs to clients
+                    adj, first = server_adj[v], edge_start[v]
+                    while i < len(adj):
+                        u = adj[i]
+                        if level[u] == d:
+                            e = server_edges[first + i]
+                            residual = mult[e]
                             if residual > 0:
                                 break
                         i += 1
-                    ptr[v] = i
-                    if i < len(adj):
-                        path.append(u)
-                        limits.append(min(limits[-1], residual))
-                        continue
+                ptr[v] = i
+                if i < len(adj):
+                    arcs.append(e)
+                    if d == target_len:
+                        got = min(limits[-1], residual, cap[u] - deg[u])
+                        break
+                    path.append(u)
+                    limits.append(min(limits[-1], residual))
+                    continue
                 # dead end: retreat and move the parent past this arc
                 path.pop()
                 limits.pop()
                 if path:
+                    arcs.pop()
                     ptr[path[-1]] += 1
             if got == 0:
                 break
-            for i in range(len(path) - 2, -1, -1):  # deepest arc first
-                if i & 1:
-                    matching.add(path[i + 1], path[i], -got)
-                else:
-                    matching.add(path[i], path[i + 1], got)
+            for j, e in enumerate(arcs):
+                mult[e] += -got if j & 1 else got
+            deg[c] += got
+            deg[u] += got
+            if deg[u] == cap[u]:
+                open_ends -= 1
 
 
 def _phases(inst: Instance, profile: CapacityProfile, max_phases: float,
@@ -275,15 +373,16 @@ def _phases(inst: Instance, profile: CapacityProfile, max_phases: float,
     """Run up to ``max_phases`` shortest-augmentation phases from the empty
     matching, stopping once no augmenting path of length <= max_len is
     left."""
-    matching = CapMatching(inst, profile)
+    state = _Residual(inst, profile)
     phase = 0
     while phase < max_phases:
-        level, _, end = _bfs(inst, matching, _free_clients(inst, matching), max_len)
+        roots = state.free_clients()
+        level, _, end = _bfs(state, roots, max_len)
         if end is None:
             break
-        _blocking_phase(inst, matching, level, level[end])
+        _blocking_phase(state, roots, level, level[end])
         phase += 1
-    return matching
+    return state.matching()
 
 
 def eliminate_short_paths(inst: Instance, profile: CapacityProfile, k: int) -> CapMatching:
@@ -310,5 +409,6 @@ def blocking_flow_matching(inst: Instance, profile: CapacityProfile, phases: int
 
 def residual_source_sink_distance(inst: Instance, matching: CapMatching) -> float:
     """Residual distance from dummy source to dummy sink (inf if no path)."""
-    level, _, end = _bfs(inst, matching, _free_clients(inst, matching))
+    state = _Residual(inst, matching.profile, matching)
+    level, _, end = _bfs(state, state.free_clients())
     return _INF if end is None else level[end] + 2

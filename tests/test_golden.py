@@ -7,6 +7,11 @@ assignment, the whole report without ``wall_time_s``, the trace file, the
 compared with digests recorded before the solver table and the per-class
 helper were introduced, so that refactors of the dispatch keep every
 result, round charge and report format bit-identical.
+
+The mid-size families were added, with their digests, before the matching
+engine moved onto edge-indexed arrays.  The sparse ones reach augmenting
+paths of length 5 to 9; ``weighted-heavy``, shaped like the benchmark's
+seq-heavy instances, reaches 3.
 """
 
 import hashlib
@@ -25,6 +30,13 @@ INSTANCES = {
     "weighted": lambda seed: random_weighted(seed, nc=10, ns=5, p=0.6, normalized=False),
     "unit-dense": lambda seed: random_unit(seed, nc=6, ns=5, p=0.9),
     "weighted-dense": lambda seed: random_weighted(seed, nc=8, ns=5, p=0.9, normalized=False),
+    "weighted-heavy": lambda seed: random_weighted(seed, nc=200, ns=200, p=0.05, max_weight=256,
+                                                   normalized=False),
+    "unit-sparse": lambda seed: random_unit(seed, nc=512, ns=512, p=2 / 512),
+    "weighted-sparse": lambda seed: random_weighted(seed, nc=512, ns=256, p=2 / 256, max_weight=2,
+                                                    normalized=False),
+    # every client needs degree >= 2 for backup --r 2
+    "unit-sparse-r2": lambda seed: random_unit(seed, nc=512, ns=512, p=12 / 512),
 }
 
 # (algorithm, instance family, extra solve arguments)
@@ -35,6 +47,11 @@ ALGORITHM_INPUTS = (
     ("local-weighted", "weighted", ()),
     ("backup", "unit-dense", ("--r", "2")),
     ("backup", "weighted-dense", ("--r", "2")),
+    ("seq", "weighted-heavy", ()),
+    ("congest-unweighted", "unit-sparse", ()),
+    ("congest-weighted", "weighted-sparse", ()),
+    ("local-weighted", "weighted-sparse", ()),
+    ("backup", "unit-sparse-r2", ("--r", "2")),
 )
 SEEDS = (1, 2, 3)
 DUMPS_MATCHINGS = ("seq", "congest-unweighted")
@@ -73,6 +90,33 @@ GOLDEN = {
     "backup/weighted-dense/2/simulate": {"assignment": "88031e0248d292da", "report": "26b53015ff8d6391", "trace": "6e541edc944e0f80", "verify": "ee48e298321daa8f"},
     "backup/weighted-dense/3/direct": {"assignment": "aaf53d7c3b065082", "report": "359407b82f62354e"},
     "backup/weighted-dense/3/simulate": {"assignment": "aaf53d7c3b065082", "report": "11628ad93bcfd5e3", "trace": "5ebdd25309a13dfc", "verify": "ee48e298321daa8f"},
+    "seq/weighted-heavy/1/direct": {"assignment": "f1c85d814dfa7a69", "report": "57e838a30346ad46", "matchings": "59dfdfc18bb8e000"},
+    "seq/weighted-heavy/2/direct": {"assignment": "999d11f807374323", "report": "50cbd5eef1d3d89c", "matchings": "e373e2db513961c4"},
+    "seq/weighted-heavy/3/direct": {"assignment": "67f167cc36cd7178", "report": "6caf41dd41108aae", "matchings": "8e1b16447452b136"},
+    "congest-unweighted/unit-sparse/1/direct": {"assignment": "1dfde06bece33e70", "report": "b8c500744752102f", "matchings": "15834683aed56cde"},
+    "congest-unweighted/unit-sparse/1/simulate": {"assignment": "1dfde06bece33e70", "report": "f05838de27b83d28", "trace": "837d3eacf86c6d87", "verify": "2733576d2e27169e"},
+    "congest-unweighted/unit-sparse/2/direct": {"assignment": "5f3b34dc169043bd", "report": "5badbb9f5eb3a485", "matchings": "dcafca8fbe9a13fb"},
+    "congest-unweighted/unit-sparse/2/simulate": {"assignment": "5f3b34dc169043bd", "report": "30f6a41f6fa74feb", "trace": "b21e53d2e4ae060b", "verify": "2733576d2e27169e"},
+    "congest-unweighted/unit-sparse/3/direct": {"assignment": "de079a2a43e7fe1d", "report": "7d0ae889a47d9b69", "matchings": "8a1a9b665fb6eaea"},
+    "congest-unweighted/unit-sparse/3/simulate": {"assignment": "de079a2a43e7fe1d", "report": "587181afc8f0c284", "trace": "dfcc39fd0f8937f1", "verify": "2733576d2e27169e"},
+    "congest-weighted/weighted-sparse/1/direct": {"assignment": "623897818abbf15e", "report": "eed893f3cba1e89a"},
+    "congest-weighted/weighted-sparse/1/simulate": {"assignment": "623897818abbf15e", "report": "7afc599a1160c7f8", "trace": "cd38e679cc17ea55", "verify": "2733576d2e27169e"},
+    "congest-weighted/weighted-sparse/2/direct": {"assignment": "6301846c68c5f6b9", "report": "fb98946a7c247c3b"},
+    "congest-weighted/weighted-sparse/2/simulate": {"assignment": "6301846c68c5f6b9", "report": "739172549510ead7", "trace": "8e8198ac528e363f", "verify": "2733576d2e27169e"},
+    "congest-weighted/weighted-sparse/3/direct": {"assignment": "3f35f38975da41d8", "report": "b805ddfb23d9aa1f"},
+    "congest-weighted/weighted-sparse/3/simulate": {"assignment": "3f35f38975da41d8", "report": "ffa8d92a09f81e65", "trace": "db43a209551a99b3", "verify": "2733576d2e27169e"},
+    "local-weighted/weighted-sparse/1/direct": {"assignment": "45a24883439aff5a", "report": "8f660e909191a0b8"},
+    "local-weighted/weighted-sparse/1/simulate": {"assignment": "45a24883439aff5a", "report": "5bc7a29a65f741bc", "trace": "20f21149f35397a5", "verify": "b89973c2e8830deb"},
+    "local-weighted/weighted-sparse/2/direct": {"assignment": "6cf751758461610f", "report": "f84bdd2d82864185"},
+    "local-weighted/weighted-sparse/2/simulate": {"assignment": "6cf751758461610f", "report": "41e3bab9801eab0c", "trace": "3fd2eda9f17a64f8", "verify": "675d897e055b753a"},
+    "local-weighted/weighted-sparse/3/direct": {"assignment": "5410a5d8112bf1fb", "report": "392c7c93b04e987c"},
+    "local-weighted/weighted-sparse/3/simulate": {"assignment": "5410a5d8112bf1fb", "report": "919d4a611c1b324b", "trace": "88fdcefe47872821", "verify": "675d897e055b753a"},
+    "backup/unit-sparse-r2/1/direct": {"assignment": "1dacae429327bcd8", "report": "327960e5298359a3"},
+    "backup/unit-sparse-r2/1/simulate": {"assignment": "1dacae429327bcd8", "report": "21399a3c7c2e996e", "trace": "78168e28a0b429a7", "verify": "2733576d2e27169e"},
+    "backup/unit-sparse-r2/2/direct": {"assignment": "c5694e8d0cfb9761", "report": "2b491c776f45ebc9"},
+    "backup/unit-sparse-r2/2/simulate": {"assignment": "c5694e8d0cfb9761", "report": "73da36c4be6a0521", "trace": "601b32c280b2cd91", "verify": "2733576d2e27169e"},
+    "backup/unit-sparse-r2/3/direct": {"assignment": "f86127c7819e2e01", "report": "c2fc2d807eed24c8"},
+    "backup/unit-sparse-r2/3/simulate": {"assignment": "f86127c7819e2e01", "report": "26177c303cf49db7", "trace": "d4d1c6bd2003b66a", "verify": "2733576d2e27169e"},
 }
 
 

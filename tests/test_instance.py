@@ -44,6 +44,37 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             build_instance([0], [1], [(0, 5)])
 
+    @pytest.mark.parametrize("edges,detail", [
+        ([(0, 2), (1, 2), (0, 1)], r"edge \(0, 1\): 1 is not a server"),
+        ([(2, 0), (0, 2)], r"edge \(2, 0\): 2 is not a client"),
+        ([(0, 2), ("a", 2)], r"edge \(a, 2\): a is not a client"),
+        ([(1, 7), (0, 2), (0, 9)], r"edge \(1, 7\): 7 is not a server"),
+    ])
+    def test_first_bad_edge_named(self, edges, detail):
+        with pytest.raises(InstanceError, match=detail):
+            build_instance([0, 1], [2], edges)
+
+    @pytest.mark.parametrize("inst", [
+        build_instance([1, 3, 4], [0, 2], [(4, 0), (1, 2), (3, 0), (1, 0), (4, 2)]),
+        build_instance([0, 1], [2], []),
+        random_weighted(3, nc=12, ns=7, p=0.4),
+    ])
+    def test_edge_id_layout(self, inst):
+        ids = set()
+        for c in inst.clients:
+            for i, s in enumerate(inst.client_adj[c]):
+                e = inst.edge_start[c] + i
+                assert inst.edges[e] == (c, s) and inst.edge_id(c, s) == e
+                ids.add(e)
+        assert ids == set(range(inst.m))
+        for s in inst.servers:
+            for i, c in enumerate(inst.server_adj[s]):
+                assert inst.edges[inst.server_edges[inst.edge_start[s] + i]] == (c, s)
+        assert sorted(inst.server_edges) == list(range(inst.m))
+        for c, s in [(inst.clients[0], inst.clients[-1]), (inst.servers[0], inst.clients[0]),
+                     (inst.clients[0], inst.n)]:
+            assert inst.edge_id(c, s) is None
+
     @pytest.mark.parametrize("clients,servers,detail", [
         ([0, 0, 1], [2], "client id 0 is repeated"),
         ([0], [1, 1], "server id 1 is repeated"),

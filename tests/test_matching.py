@@ -81,6 +81,12 @@ class TestFindAugmentingPath:
         assert [0, 3, 1, 4] in from_c0
         assert min(len(p) for p in from_c0) == 4
 
+    @pytest.mark.parametrize("start_client", [3, 4, 7, -1])
+    def test_start_client_must_be_a_client(self, chain, start_client):
+        m = CapMatching(chain, CapacityProfile.uniform(chain, 1, 1))
+        with pytest.raises(ValueError, match=f"start_client {start_client} "):
+            find_augmenting_path(chain, m, 3, start_client=start_client)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_exhaustive_enumeration(self, seed):
         rng = random.Random(seed)
@@ -168,6 +174,19 @@ class TestBlockingFlow:
         x = blocking_flow_matching(inst, prof, phases)
         k = phases - 2 if phases % 2 == 1 else phases - 3
         assert verify_no_short_aug_paths(inst, prof, x, k) is True
+
+
+class TestCapMatching:
+    @pytest.mark.parametrize("edge", [(0, 3), (0, 7), (2, 3), (3, 1)])
+    def test_rejects_a_key_that_is_not_an_edge(self, edge):
+        inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
+        prof = CapacityProfile.uniform(inst, 1, 1)
+        with pytest.raises(ValueError, match=rf"\({edge[0]}, {edge[1]}\) is not an edge"):
+            CapMatching(inst, prof, {edge: 1})
+        m = CapMatching(inst, prof)
+        with pytest.raises(ValueError, match="is not an edge"):
+            m.add(*edge, 1)
+        assert m.mult == {} and set(m.client_deg.values()) == {0}
 
 
 class TestClientPerfect:
@@ -292,6 +311,25 @@ class TestEngineProperties:
         # every server at most once
         x = blocking_flow_matching(inst, prof, len(inst.servers) + 1)
         x.check_feasible()
+        # the engine's view agrees with the checked public constructor
+        rebuilt = CapMatching(inst, prof, dict(x.mult))
+        assert (rebuilt.client_deg, rebuilt.server_deg) == (x.client_deg, x.server_deg)
         flow = _flow_value(inst, prof.kappa, prof.tau, prof.edge_cap)
         assert sum(x.client_deg.values()) == flow
         assert residual_source_sink_distance(inst, x) == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_profiles(), st.integers(1, 3))
+    def test_find_augmenting_path_is_shortest(self, case, phases):
+        inst, prof = case
+        x = blocking_flow_matching(inst, prof, phases)
+        for max_len in (1, 3, 5, 7, 9):
+            expected = enumerate_aug_paths(inst, x, max_len)
+            for start in (None, *inst.clients):
+                paths = [p for p in expected if start in (None, p[0])]
+                got = find_augmenting_path(inst, x, max_len, start_client=start)
+                if not paths:
+                    assert got is None
+                else:
+                    assert got.vertices in paths
+                    assert got.length == min(len(p) - 1 for p in paths)
