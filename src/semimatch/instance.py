@@ -7,6 +7,7 @@ treated as immutable after construction and may be shared freely.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -88,10 +89,7 @@ class Instance:
                 if s not in sset:
                     raise InstanceError(f"edge ({c}, {s}): {s} is not a server") from None
             raise
-        for c in self.clients:
-            w = self.weight.get(c)
-            if w is None or w <= 0:
-                raise InstanceError(f"client {c} must have a positive weight, got {w}")
+        self._check_weights()
         self.edges = edges
         self.client_adj = {c: tuple(ca[c]) for c in self.clients}
         self.server_adj = {s: tuple(sa[s]) for s in self.servers}
@@ -105,6 +103,12 @@ class Instance:
             start[s] = len(server_edges)
             server_edges.fromlist(se[s])
         self.edge_start, self.server_edges = start, server_edges
+
+    def _check_weights(self) -> None:
+        for c in self.clients:
+            w = self.weight.get(c)
+            if w is None or w <= 0:
+                raise InstanceError(f"client {c} must have a positive weight, got {w}")
 
     @property
     def n(self) -> int:
@@ -189,6 +193,9 @@ def normalize_weights(inst: Instance) -> Instance:
     A power-of-two rounded weight that still exceeds n is clamped down to the
     largest power of two <= n, which keeps the stated invariant and makes the
     operation idempotent.
+
+    The result shares ``inst``'s ids, edges, adjacency and edge-id layout,
+    which are already validated and sorted; only the weights are new.
     """
     n = inst.n
     W = inst.max_weight
@@ -202,7 +209,10 @@ def normalize_weights(inst: Instance) -> Instance:
         if w > n:
             w = cap
         new_w[c] = w
-    return Instance(inst.clients, inst.servers, inst.edges, new_w)
+    out = copy.copy(inst)
+    out.weight = new_w
+    out._check_weights()
+    return out
 
 
 def weight_classes(inst: Instance) -> list[WeightClassView]:

@@ -5,6 +5,14 @@ capacitated matching in one depth-first walk, cancelling each cycle where it
 closes; every vertex degree is preserved and the support becomes a forest.
 star_round then rounds the forest into server-centered stars, assigning each
 client wholly to one support server.
+
+Both take and return dicts keyed by edge (c, s), but run on the instance's
+edge ids (see ``Instance``): a flat multiplicity per edge id, one neighbour
+list per vertex filled from the support's ascending edge ids, and per-vertex
+flat lists and bytearrays for the walk.  Edge ids sort like (c, s), so the
+neighbour lists are ascending at both ends and every result matches the
+one the same walk gives on (c, s) tuples.  A positive entry on a key that is
+not an edge of the instance raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,14 +32,14 @@ class SplitAssignment:
 
     def __post_init__(self) -> None:
         deg = {c: 0 for c in self.inst.clients}
-        edges = set(self.inst.edges)
+        edge_id = self.inst.edge_id
         for (c, s), x in list(self.mult.items()):
             if x < 0:
                 raise ValueError(f"negative multiplicity on edge ({c}, {s})")
             if x == 0:
                 del self.mult[(c, s)]
                 continue
-            if (c, s) not in edges:
+            if edge_id(c, s) is None:
                 raise ValueError(f"edge ({c}, {s}) not in instance")
             deg[c] += x
         for c, d in deg.items():
@@ -56,9 +64,28 @@ def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
     return deg
 
 
+def _support(inst: Instance, mult: dict[tuple[int, int], int]) -> tuple[list[int], list[int]]:
+    """The support of ``mult`` on ``inst``'s edge ids: its edge ids in
+    ascending order, and the multiplicity of every edge id (0 off the
+    support).  Entries of multiplicity <= 0 are ignored; a positive one on a
+    key that is not an edge of ``inst`` raises ValueError."""
+    ids, x = [], [0] * inst.m
+    edge_id = inst.edge_id
+    for (c, s), units in mult.items():
+        if units > 0:
+            e = edge_id(c, s)
+            if e is None:
+                raise ValueError(f"({c}, {s}) is not an edge of the instance")
+            ids.append(e)
+            x[e] = units
+    ids.sort()
+    return ids, x
+
+
 def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """Remove all support cycles by alternating +/- updates, preserving every
-    vertex degree; returns a new dict and leaves ``mult`` unchanged.
+    vertex degree; returns a new dict, in ascending edge order, and leaves
+    ``mult`` unchanged.
 
     One iterative DFS over the support, roots and neighbours in ascending id.
     The DFS path is a tree path, so a live edge from the top vertex to a vertex
@@ -68,59 +95,70 @@ def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tupl
     The path is then cut just above the first tree edge that reached zero; the
     vertices cut off are unvisited again and rescanned from their first
     neighbour when the DFS reaches them anew.
+
+    The walk runs on edge ids: ``x[e]`` is the multiplicity of edge id e and
+    ``adj[v]`` lists v's support edge ids in ascending order.  Ids sort like
+    (c, s), so that is ascending neighbour order at both ends, and the
+    smallest id on a cycle is its lexicographically smallest edge.
     """
-    mult = {e: x for e, x in mult.items() if x > 0}
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for e in mult:
-        c, s = e
-        adj.setdefault(c, []).append((s, e))
-        adj.setdefault(s, []).append((c, e))
-    for vs in adj.values():
-        vs.sort()
+    ids, x = _support(inst, mult)
+    edges = inst.edges
+    adj: list[list[int]] = [[] for _ in range(inst.n)]
+    tip = [0] * inst.m  # the sum of edge e's ends: its far end from v is tip[e] - v
+    for e in ids:
+        c, s = edges[e]
+        adj[c].append(e)
+        adj[s].append(e)
+        tip[e] = c + s
     # Invariant: outside its finished subtree, a finished vertex's only live
     # edge is the tree edge to its parent.  Cycles only change edges of the
     # path, so a finished subtree is a pendant tree for good and is skipped.
-    done: set[int] = set()
-    for root in sorted(adj):
-        if root in done:
+    done = bytearray(inst.n)
+    pos = [-1] * inst.n  # index on the DFS path, -1 when off it
+    scan = [0] * inst.n  # next index of adj[v] to scan
+    for root in range(inst.n):
+        if done[root] or not adj[root]:
             continue
         path = [root]
-        tree: list[tuple[int, int] | None] = [None]  # tree[k] joins path[k - 1], path[k]
-        pos = {root: 0}
-        scan = {root: 0}
+        tree = [-1]  # tree[k] is the edge id joining path[k - 1] and path[k]
+        pos[root] = scan[root] = 0
         while path:
             v = path[-1]
-            if scan[v] == len(adj[v]):
-                done.add(v)
-                del pos[v]
+            vs, i, last = adj[v], scan[v], tree[-1]
+            while i < len(vs):
+                e = vs[i]
+                i += 1
+                if x[e] and e != last:
+                    u = tip[e] - v
+                    if not done[u]:
+                        break
+            else:
+                done[v] = 1
+                pos[v] = -1
                 path.pop()
                 tree.pop()
                 continue
-            u, e = adj[v][scan[v]]
-            scan[v] += 1
-            if e not in mult or u in done or e == tree[-1]:
-                continue
-            if u not in pos:
+            scan[v] = i
+            if pos[u] < 0:
                 pos[u], scan[u] = len(path), 0
                 path.append(u)
                 tree.append(e)
                 continue
-            cycle = tree[pos[u] + 1:] + [e]
+            cycle = tree[pos[u] + 1:]
+            cycle.append(e)
             parity = cycle.index(min(cycle)) % 2
-            inc, dec = cycle[parity::2], cycle[1 - parity::2]
-            delta = min(mult[f] for f in dec)
-            for f in inc:
-                mult[f] += delta
-            for f in dec:
-                mult[f] -= delta
-                if mult[f] == 0:
-                    del mult[f]
-            cut = next((k for k in range(pos[u] + 1, len(path)) if tree[k] not in mult), None)
-            if cut is not None:
-                for w in path[cut:]:
-                    del pos[w]
-                del path[cut:], tree[cut:]
-    return mult
+            delta = min(x[f] for f in cycle[1 - parity::2])
+            for f in cycle[parity::2]:
+                x[f] += delta
+            for f in cycle[1 - parity::2]:
+                x[f] -= delta
+            for k in range(pos[u] + 1, len(path)):
+                if not x[tree[k]]:
+                    for w in path[k:]:
+                        pos[w] = -1
+                    del path[k:], tree[k:]
+                    break
+    return {edges[e]: x[e] for e in ids if x[e]}
 
 
 def star_round(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[int, int]:
@@ -133,53 +171,49 @@ def star_round(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[int, in
     x(delta(s)) + max assigned weight: at most one client assigns down into s
     (its tree parent), and the clients assigning up into s account for at
     most x(delta(s)) units.
+
+    Neighbour lists are filled from the support's edge ids in ascending
+    order, so each is ascending.
     """
-    mult = {e: x for e, x in mult.items() if x > 0}
-    deg = {c: 0 for c in inst.clients}
-    adj: dict[int, list[int]] = {}
-    for (c, s), x in mult.items():
-        deg[c] += x
-        adj.setdefault(c, []).append(s)
-        adj.setdefault(s, []).append(c)
+    ids, x = _support(inst, mult)
+    edges, n = inst.edges, inst.n
+    deg = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in ids:
+        c, s = edges[e]
+        deg[c] += x[e]
+        adj[c].append(s)
+        adj[s].append(c)
     for c in inst.clients:
         if deg[c] != inst.weight[c]:
             raise ValueError(f"client {c} has support degree {deg[c]}, "
                              f"expected its weight {inst.weight[c]}")
     # forest check: edges (distinct) <= vertices - components
-    n_vertices = len(adj)
-    n_edges = len(mult)
-    for vs in adj.values():
-        vs.sort()
-    seen: set[int] = set()
+    n_vertices = sum(1 for vs in adj if vs)
+    seen = bytearray(n)
+    parent = [-1] * n
     assignment: dict[int, int] = {}
     components = 0
-    for root in sorted(adj):
-        if root in seen:
+    for root in range(n):
+        if seen[root] or not adj[root]:
             continue
         components += 1
-        parent: dict[int, int | None] = {root: None}
         order = [root]
-        seen.add(root)
+        seen[root] = 1
         stack = [root]
         while stack:
             v = stack.pop()
             for u in adj[v]:
-                if u not in parent:
+                if not seen[u]:
                     parent[u] = v
-                    seen.add(u)
+                    seen[u] = 1
                     order.append(u)
                     stack.append(u)
+        # a client root has a child: every neighbour of the root is one
         for v in order:
-            if v not in inst.client_adj:
-                continue
-            children = [u for u in adj[v] if parent.get(u) == v]
-            if children:
-                assignment[v] = children[0]
-            elif parent[v] is not None:
-                assignment[v] = parent[v]
-            else:
-                raise ValueError(f"isolated client {v} in support")
-    if n_edges > n_vertices - components:
+            if v in inst.client_adj:
+                assignment[v] = next((u for u in adj[v] if parent[u] == v), parent[v])
+    if len(ids) > n_vertices - components:
         raise ValueError("support contains a cycle; run cancel_cycles first")
     return assignment
 

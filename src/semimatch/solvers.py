@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .instance import Instance, induced_subinstance, weight_classes
 from .matching import (
@@ -274,28 +275,33 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
     """Client c receives units per budget according to the growth of its
     running-maximum matched degree, drawn from its matched servers at that
     budget (preferring servers already holding units of c, then ascending
-    id)."""
-    schedule = list(_until_client_perfect(inst, budgets))
+    id).
+
+    Budgets run on the outside, each matching read once: the clients whose
+    matched degree passed their running maximum (``placed``, per client id)
+    take their new units from their matched edges in ascending edge order,
+    edges already in ``mult`` first.  The edges stay (c, s) keys: the
+    matchings arrive keyed so, and turning each key into an edge id costs a
+    bisection that the flat state would not win back.
+    """
+    placed = [0] * inst.n
     mult: dict[tuple[int, int], int] = {}
-    for c in inst.clients:
-        # units placed so far = running maximum of c's matched degree
-        placed = 0
-        used: set[int] = set()
-        for x in schedule:
-            alloc = x.client_deg[c] - placed
-            if alloc <= 0:
-                continue
-            slots = [s for s in inst.client_adj[c] if (c, s) in x.mult]
-            for s in sorted(slots, key=lambda t: (t not in used, t)):
-                take = min(x.mult[(c, s)], alloc)
-                mult[(c, s)] = mult.get((c, s), 0) + take
-                used.add(s)
-                placed += take
+    for x in _until_client_perfect(inst, budgets):
+        deg = x.client_deg
+        grown = sorted((e, units) for e, units in x.mult.items() if deg[e[0]] > placed[e[0]])
+        for c, slots in groupby(grown, key=lambda slot: slot[0][0]):
+            alloc = deg[c] - placed[c]
+            # a stable sort keeps ascending order within used and unused edges
+            for e, units in sorted(slots, key=lambda slot: slot[0] not in mult):
+                take = min(units, alloc)
+                mult[e] = mult.get(e, 0) + take
+                placed[c] += take
                 alloc -= take
                 if alloc == 0:
                     break
-        if placed != inst.weight[c]:
-            raise AssertionError(f"client {c} placed {placed} of {inst.weight[c]} units")
+    for c in inst.clients:
+        if placed[c] != inst.weight[c]:
+            raise AssertionError(f"client {c} placed {placed[c]} of {inst.weight[c]} units")
     return SplitAssignment(inst, mult)
 
 

@@ -1,3 +1,4 @@
+import random
 import sys
 from types import SimpleNamespace
 
@@ -49,6 +50,26 @@ def random_weighted(seed, nc=8, ns=4, p=0.5, max_weight=8, normalized=True):
         "weighted-random", seed=seed, n_clients=nc, n_servers=ns, p=p, max_weight=max_weight
     )
     return normalize_weights(inst) if normalized else inst
+
+
+def random_split_support(seed):
+    """A random client-perfect split of a small weighted instance: each client
+    spreads its weight over a prefix of its servers."""
+    inst = random_weighted(seed, nc=8, ns=4, p=0.6, max_weight=4)
+    rng = random.Random(seed)
+    mult = {}
+    for c in inst.clients:
+        left = inst.weight[c]
+        for s in inst.client_adj[c]:
+            if left == 0:
+                break
+            x = rng.randint(0, left)
+            if x:
+                mult[(c, s)] = x
+                left -= x
+        if left:
+            mult[(c, inst.client_adj[c][0])] = mult.get((c, inst.client_adj[c][0]), 0) + left
+    return inst, mult
 
 
 def client_expand(inst):

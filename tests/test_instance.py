@@ -130,6 +130,16 @@ class TestNormalizeWeights:
             assert w & (w - 1) == 0
             assert w <= once.n
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layout_equals_a_fresh_build(self, seed):
+        inst = random_weighted(seed, max_weight=50, normalized=False)
+        norm = normalize_weights(inst)
+        fresh = build_instance(inst.clients, inst.servers, inst.edges, norm.weight)
+        assert norm == fresh  # every field: ids, edges, weights, adjacency, edge-id arrays
+        # the parent keeps its own weights
+        assert inst.weight == random_weighted(seed, max_weight=50, normalized=False).weight
+        assert normalize_weights(norm) == norm
+
 
 class TestWeightClasses:
     def test_partition(self):

@@ -1,5 +1,3 @@
-import random
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,7 @@ from semimatch import (
     split_assignment_seq,
 )
 from semimatch.rounding import support_degrees
-from conftest import random_weighted
+from conftest import random_split_support, random_weighted
 
 
 def is_forest(mult):
@@ -99,20 +97,7 @@ class TestCancelCycles:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_degree_preserving_randomized(self, seed):
-        inst = random_weighted(seed, nc=8, ns=4, p=0.6, max_weight=4)
-        rng = random.Random(seed)
-        mult = {}
-        for c in inst.clients:
-            left = inst.weight[c]
-            for s in inst.client_adj[c]:
-                if left == 0:
-                    break
-                x = rng.randint(0, left)
-                if x:
-                    mult[(c, s)] = x
-                    left -= x
-            if left:
-                mult[(c, inst.client_adj[c][0])] = mult.get((c, inst.client_adj[c][0]), 0) + left
+        inst, mult = random_split_support(seed)
         out = cancel_cycles(inst, mult)
         assert is_forest(out)
         assert support_degrees(out) == support_degrees(mult)
@@ -128,6 +113,31 @@ class TestCancelCycles:
         assert all(x > 0 for x in out.values())
         assert set(out) <= set(mult)
         assert support_degrees(out) == support_degrees(mult)
+
+
+# keys that are not edges of the chain fixture: a missing vertex, a missing
+# edge between a client and a server, a swapped pair and two clients
+NON_EDGES = [(0, 9), (0, 4), (3, 0), (0, 1)]
+
+
+class TestRejectsNonEdges:
+    @pytest.mark.parametrize("edge", NON_EDGES)
+    def test_cancel_cycles(self, chain, edge):
+        with pytest.raises(ValueError, match=rf"\({edge[0]}, {edge[1]}\) is not an edge"):
+            cancel_cycles(chain, {edge: 1})
+
+    @pytest.mark.parametrize("edge", NON_EDGES)
+    def test_star_round(self, chain, edge):
+        with pytest.raises(ValueError, match=rf"\({edge[0]}, {edge[1]}\) is not an edge"):
+            star_round(chain, {edge: 1, (1, 3): 1, (2, 4): 1})
+
+    @pytest.mark.parametrize("edge", NON_EDGES)
+    def test_split_assignment(self, chain, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) not in instance"):
+            SplitAssignment(chain, {edge: 1, (1, 3): 1, (2, 4): 1})
+
+    def test_non_positive_entries_are_ignored(self, chain):
+        assert cancel_cycles(chain, {(0, 9): 0, (0, 3): 1}) == {(0, 3): 1}
 
 
 class TestStarRound:
