@@ -6,6 +6,11 @@ layer hands the next: the split assignment ``split_assignment_seq`` (and
 ``cancel_cycles`` leaves and the mapping ``star_round`` picks.  The digests
 were recorded before those layers moved onto edge ids, so a rewrite that
 keeps them shows bit-identity at each layer, not only at the end.
+
+The per-class digests hash what ``weight_classes`` hands the per-class
+solvers: each class's weight, the base vertex of each sub id and the
+sub-instance's edges.  They were recorded before the relabelling moved into
+``weight_classes``.
 """
 
 import hashlib
@@ -20,7 +25,9 @@ from semimatch import (
     normalize_weights,
     split_assignment_seq,
     star_round,
+    weight_classes,
 )
+from semimatch.instance import induced_subinstance
 from semimatch.solvers import _split, unit_schedule
 from conftest import random_split_support
 from test_golden import INSTANCES
@@ -37,6 +44,26 @@ def full_kk_support(k: int, seed: int):
     inst = build_instance(range(k), range(k, 2 * k),
                           [(c, s) for c in range(k) for s in range(k, 2 * k)])
     return inst, {e: rng.randint(1, 5) for e in inst.edges}
+
+
+def interleaved(seed: int):
+    """Clients on the even ids and servers on the odd ones, with weights
+    1..8: no class's relabelling is the identity."""
+    rng = random.Random(seed)
+    clients, servers = range(0, 40, 2), range(1, 40, 2)
+    edges = {(c, rng.choice(servers)) for c in clients for _ in range(3)}
+    return build_instance(clients, servers, edges, {c: 1 << rng.randrange(4) for c in clients})
+
+
+def class_digests(inst) -> list[str]:
+    """One digest per weight class, in class order, of (class weight, base
+    vertex of each sub id, sub-instance edges)."""
+    return [
+        hashlib.sha256(json.dumps([view.class_weight, [*view.clients, *view.servers],
+                                   [[*e] for e in induced_subinstance(view).edges]]
+                                  ).encode()).hexdigest()[:16]
+        for view in weight_classes(inst)
+    ]
 
 
 def heavy(seed: int):
@@ -58,6 +85,25 @@ FULL_KK = {
 }
 # seed -> digest of local-weighted's split on the weighted golden family
 LOCAL_SPLIT = {1: "d47e59b8029d1120", 2: "b12bb31ce8ab9929", 3: "0a8d5e3872076e92"}
+# (family, seed) -> per-class digests; "interleaved" is not a golden family
+CLASSES = {
+    ("weighted", 1): ["5bb7637900d145f4", "8d7c3c137a897c71", "e996fe4f46ddb8d9"],
+    ("weighted", 2): ["ba8f78d140d29c0e", "fe7177802d274ef7"],
+    ("weighted", 3): ["34b4837fa2982e7b", "c720d18a780fe8d4", "25fed8d15cbd9602",
+                      "24797b3cfa509430"],
+    ("weighted-dense", 1): ["9ef9e191d797659a", "5e0d47f94aa9c877", "2dda4396e70ffeff"],
+    ("weighted-dense", 2): ["b9be5b0e4cc0af07", "2d787ba0fe726cd1"],
+    ("weighted-dense", 3): ["f7e2be7cbdf757ad", "37224cf179384fe1"],
+    ("weighted-sparse", 1): ["33b2604dffff53ce", "d0df5bcb080af37e"],
+    ("weighted-sparse", 2): ["882b7b84c46b0868", "d1a401e0c0702839"],
+    ("weighted-sparse", 3): ["15b381bfdb232f9b", "3a5a1e28a44c8037"],
+    ("interleaved", 1): ["2516077517414aa0", "27a26ecf06f4889f", "71397e4db88afe6e",
+                         "d98831994c113483"],
+    ("interleaved", 2): ["b40739ee4a2d706b", "0bce8f92eac4ca3f", "277f6b62dc801a07",
+                         "ae252b5636254e01"],
+    ("interleaved", 3): ["e639cf31a3520e3d", "7d82459f926e8d65", "408e343830009e4b",
+                         "2e0ef5a143ed0af7"],
+}
 # digest of the 30 forests of random_split_support(0..29)
 RANDOM_SPLIT_FORESTS = "ed28654e89026b3e"
 
@@ -86,3 +132,10 @@ def test_local_weighted_split(seed):
 def test_random_split_forests():
     forests = [cancel_cycles(*random_split_support(seed)) for seed in range(30)]
     assert _digest({i: _digest(f) for i, f in enumerate(forests)}) == RANDOM_SPLIT_FORESTS
+
+
+@pytest.mark.parametrize("case", sorted(CLASSES))
+def test_weight_class_subinstances(case):
+    family, seed = case
+    inst = interleaved(seed) if family == "interleaved" else INSTANCES[family](seed)
+    assert class_digests(normalize_weights(inst)) == CLASSES[case]
