@@ -7,7 +7,7 @@ simulations, and brute-force oracles for small instances.
 from .instance import (
     Instance,
     InstanceError,
-    WeightClassView,
+    WeightClass,
     build_instance,
     generate_instance,
     normalize_weights,

@@ -243,6 +243,17 @@ def _alpha(param: str) -> float:
     return alpha
 
 
+def _path_bound(param: str) -> int:
+    """The K of ``--check no-short-aug-paths:K``: an odd integer >= 1."""
+    try:
+        k = int(param)
+    except ValueError:
+        k = 0
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"no-short-aug-paths K must be an odd integer >= 1, got {param!r}")
+    return k
+
+
 def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
     with open(args.artifact, encoding="utf-8") as fh:
@@ -266,7 +277,7 @@ def cmd_verify(args) -> int:
                     if path is not None:
                         entry["witness"] = path
             elif name == "no-short-aug-paths":
-                k = int(param)
+                k = _path_bound(param)
                 matching = _load_matching_artifact(inst, doc)
                 verdict = oracle_mod.verify_no_short_aug_paths(inst, matching.profile, matching, k)
                 entry["pass"] = verdict is True

@@ -15,6 +15,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class InstanceError(ValueError):
@@ -158,18 +159,14 @@ class Instance:
         return [c for c in self.clients if not self.client_adj[c]]
 
 
-@dataclass
-class WeightClassView:
-    """Clients of one power-of-two weight class and their induced subgraph."""
+class WeightClass(NamedTuple):
+    """One power-of-two weight class C_i of a normalized instance: the
+    subgraph of C_i and N(C_i) as a unit-weight instance on dense sub ids.
+    Sub id v stands for base vertex ``base_id[v]``."""
 
-    class_index: int  # class weight is 2**class_index
-    clients: tuple[int, ...]
-    servers: tuple[int, ...]  # N(C_i)
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def class_weight(self) -> int:
-        return 1 << self.class_index
+    weight: int
+    instance: Instance
+    base_id: tuple[int, ...]
 
 
 def build_instance(
@@ -215,38 +212,32 @@ def normalize_weights(inst: Instance) -> Instance:
     return out
 
 
-def weight_classes(inst: Instance) -> list[WeightClassView]:
-    """Partition a normalized instance into per-weight-class induced subgraphs."""
+def weight_classes(inst: Instance) -> list[WeightClass]:
+    """The weight classes of a normalized instance, by ascending weight.
+
+    A class's sub-instance numbers its clients C_i from 0 and their
+    neighbours N(C_i) after them, each side in ascending base id, so the
+    relabelling keeps the order on each side.  All its weights are 1: the
+    per-class reduction runs the unweighted solvers on it.  ``InstanceError`` names a client whose
+    weight is not a power of two.
+    """
+    by_weight: dict[int, list[int]] = {}
     for c in inst.clients:
         w = inst.weight[c]
         if w & (w - 1) != 0:
             raise InstanceError(
                 f"client {c} has non-power-of-two weight {w}; call normalize_weights first"
             )
-    by_class: dict[int, list[int]] = {}
-    edges_of: dict[int, list[tuple[int, int]]] = {}
-    for c in inst.clients:
-        by_class.setdefault(inst.weight[c].bit_length() - 1, []).append(c)
-    for e in inst.edges:
-        edges_of.setdefault(inst.weight[e[0]].bit_length() - 1, []).append(e)
-    views = []
-    for i in sorted(by_class):
-        es = tuple(edges_of.get(i, ()))
-        srv = tuple(sorted({s for _, s in es}))
-        views.append(WeightClassView(i, tuple(by_class[i]), srv, es))
-    return views
-
-
-def induced_subinstance(view: WeightClassView) -> Instance:
-    """Relabel a weight class's induced subgraph into a dense-id sub-instance:
-    ``view.clients[i]`` becomes client i and ``view.servers[j]`` server
-    ``len(view.clients) + j``.  Weights are reset to 1 (callers use this for
-    the per-class unweighted reduction).
-    """
-    cmap = {c: i for i, c in enumerate(view.clients)}
-    smap = {s: len(cmap) + j for j, s in enumerate(view.servers)}
-    return build_instance(cmap.values(), smap.values(),
-                          [(cmap[c], smap[s]) for c, s in view.edges])
+        by_weight.setdefault(w, []).append(c)
+    classes = []
+    for w in sorted(by_weight):
+        clients = by_weight[w]
+        base_id = (*clients, *sorted({s for c in clients for s in inst.client_adj[c]}))
+        sub_id = {v: i for i, v in enumerate(base_id)}
+        edges = [(sub_id[c], sub_id[s]) for c in clients for s in inst.client_adj[c]]
+        sub = build_instance(range(len(clients)), range(len(clients), len(base_id)), edges)
+        classes.append(WeightClass(w, sub, base_id))
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -56,20 +56,11 @@ def client_perfect_matching_exists(inst: Instance, kappa: dict[int, int],
 
 
 def opt_minmax_unweighted(inst: Instance) -> int:
-    """Minimum B admitting a client-perfect (1, B)-matching, by binary search
-    over flow feasibility."""
+    """Minimum B admitting a client-perfect (1, B)-matching: with unit
+    weights, the split optimum ``opt_split``."""
     if not inst.is_unit_weight():
         raise ValueError("opt_minmax_unweighted requires unit weights")
-    _check_degrees(inst)
-    kappa = {c: 1 for c in inst.clients}
-    lo, hi = max(1, math.ceil(len(inst.clients) / max(1, len(inst.servers)))), len(inst.clients)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if client_perfect_matching_exists(inst, kappa, {s: mid for s in inst.servers}):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return opt_split(inst)
 
 
 def opt_split(inst: Instance) -> int:
@@ -288,8 +279,8 @@ def verify_no_short_aug_paths(
     """True if no augmenting path of length <= k exists; otherwise a witness
     AugPath.  Exhaustive layered BFS from every unsaturated client, with
     saturation recomputed from scratch."""
-    if k % 2 == 0:
-        raise ValueError("k must be odd")
+    if k < 1 or k % 2 == 0:
+        raise ValueError("k must be odd and >= 1")
     cdeg = {c: 0 for c in inst.clients}
     sdeg = {s: 0 for s in inst.servers}
     for (c, s), x in matching.mult.items():

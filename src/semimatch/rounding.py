@@ -11,8 +11,8 @@ edge ids (see ``Instance``): a flat multiplicity per edge id, one neighbour
 list per vertex filled from the support's ascending edge ids, and per-vertex
 flat lists and bytearrays for the walk.  Edge ids sort like (c, s), so the
 neighbour lists are ascending at both ends and every result matches the
-one the same walk gives on (c, s) tuples.  A positive entry on a key that is
-not an edge of the instance raises ValueError.
+one the same walk gives on (c, s) tuples.  A negative entry, or a positive
+one on a key that is not an edge of the instance, raises ValueError.
 """
 
 from __future__ import annotations
@@ -67,12 +67,14 @@ def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
 def _support(inst: Instance, mult: dict[tuple[int, int], int]) -> tuple[list[int], list[int]]:
     """The support of ``mult`` on ``inst``'s edge ids: its edge ids in
     ascending order, and the multiplicity of every edge id (0 off the
-    support).  Entries of multiplicity <= 0 are ignored; a positive one on a
-    key that is not an edge of ``inst`` raises ValueError."""
+    support).  Zero entries are ignored; a negative one, or a positive one on
+    a key that is not an edge of ``inst``, raises ValueError."""
     ids, x = [], [0] * inst.m
     edge_id = inst.edge_id
     for (c, s), units in mult.items():
-        if units > 0:
+        if units < 0:
+            raise ValueError(f"negative multiplicity on edge ({c}, {s})")
+        if units:
             e = edge_id(c, s)
             if e is None:
                 raise ValueError(f"({c}, {s}) is not an edge of the instance")

@@ -21,6 +21,11 @@ client-perfect budget, past which no output changes.  Every solver stops
 there.  Draining a schedule (``dict(split_schedule(inst))``) is the one way
 to get every budget's matching, as ``--dump-matchings`` writes them;
 simulated traces charge the full schedule.
+
+The per-weight-class reduction (``_per_class``) solves each class of
+``weight_classes`` on its unit-weight sub-instance and maps the result back
+through the class's ``base_id``; ``solve_weighted_congest``,
+``solve_weighted_local`` and a weighted ``solve_backup`` run on it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .instance import Instance, induced_subinstance, weight_classes
+from .instance import Instance, WeightClass, weight_classes
 from .matching import (
     CapacityProfile,
     blocking_flow_matching,
@@ -79,6 +84,14 @@ class LoadVector:
         return sum(self.loads.values())
 
 
+def _check_keys(inst: Instance, mapping: dict) -> None:
+    """Reject a key of ``mapping`` that is not a client of ``inst``; O(1)
+    unless ``mapping`` has more keys than ``inst`` has clients."""
+    if len(mapping) > len(inst.clients):
+        extra = next(key for key in mapping if key not in inst.client_adj)
+        raise ValueError(f"{extra!r} is not a client of the instance")
+
+
 @dataclass
 class Assignment:
     """Total map client -> adjacent server."""
@@ -87,6 +100,7 @@ class Assignment:
     mapping: dict[int, int]
 
     def __post_init__(self) -> None:
+        _check_keys(self.inst, self.mapping)
         for c in self.inst.clients:
             s = self.mapping.get(c)
             if s is None:
@@ -110,6 +124,7 @@ class MultiAssignment:
     mapping: dict[int, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        _check_keys(self.inst, self.mapping)
         for c in self.inst.clients:
             chosen = self.mapping.get(c)
             if chosen is None or len(chosen) != self.r or len(set(chosen)) != self.r:
@@ -215,16 +230,16 @@ def solve_unweighted(inst: Instance) -> Assignment:
 def _per_class(inst: Instance, solve_class) -> dict[int, tuple[int, ...]]:
     """The per-weight-class reduction.
 
-    Calls ``solve_class(view, sub)`` on each class's induced sub-instance
-    (``view.clients`` then ``view.servers`` relabelled densely, treated as
-    unit weight).  It returns sub client -> the sub servers chosen for it;
-    this returns base client -> the base servers chosen for it, ascending.
+    Calls ``solve_class(cls)`` on each ``WeightClass`` of ``inst``.  It
+    returns sub client -> the sub servers chosen for it, ascending; this
+    returns base client -> the base servers chosen for it, ascending, since
+    the relabelling keeps the order on each side.
     """
     chosen: dict[int, tuple[int, ...]] = {}
-    for view in weight_classes(inst):
-        first = len(view.clients)  # sub id of view.servers[0]
-        for c, servers in solve_class(view, induced_subinstance(view)).items():
-            chosen[view.clients[c]] = tuple(sorted(view.servers[s - first] for s in servers))
+    for cls in weight_classes(inst):
+        base_id = cls.base_id
+        for c, servers in solve_class(cls).items():
+            chosen[base_id[c]] = tuple(base_id[s] for s in servers)
     return chosen
 
 
@@ -233,7 +248,7 @@ def solve_weighted_congest(inst: Instance) -> Assignment:
     each class subgraph (clients treated as unit weight) and combine."""
     _require_normalized(inst)
     _check_feasible(inst)
-    chosen = _per_class(inst, lambda view, sub: _adopt(sub, unit_schedule(sub, 1), 1))
+    chosen = _per_class(inst, lambda cls: _adopt(cls.instance, unit_schedule(cls.instance, 1), 1))
     return Assignment(inst, {c: s for c, (s,) in chosen.items()})
 
 
@@ -255,17 +270,17 @@ def solve_weighted_local(inst: Instance) -> Assignment:
         key = (inst.weight[c], s)
         restricted[key] = restricted.get(key, 0) + units
 
-    def solve_class(view, sub):
-        wi = view.class_weight
+    def solve_class(cls: WeightClass):
+        sub, wi = cls.instance, cls.weight
         # tau_i(s) = restricted load + wi where the class has load, else 0
-        sub_tau = {sub_s: 2 * math.ceil((restricted[wi, s] + wi) / wi)
-                   if (wi, s) in restricted else 0
-                   for sub_s, s in zip(sub.servers, view.servers)}
+        sub_tau = {}
+        for s in sub.servers:
+            load = restricted.get((wi, cls.base_id[s]))
+            sub_tau[s] = 0 if load is None else 2 * math.ceil((load + wi) / wi)
         profile = CapacityProfile({c: 1 for c in sub.clients}, sub_tau)
         x = eliminate_short_paths(sub, profile, k)
         if not is_client_perfect(sub, x):
-            raise AssertionError(f"class {view.class_index} matching not client-perfect; "
-                                 "engine bug")
+            raise AssertionError(f"weight-{wi} class matching not client-perfect; engine bug")
         return {c: (s,) for c, s in x.mult}
 
     return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
@@ -332,7 +347,8 @@ def solve_backup(inst: Instance, r: int) -> MultiAssignment:
         chosen = _adopt(inst, unit_schedule(inst, r), r)
     else:
         _require_normalized(inst)
-        chosen = _per_class(inst, lambda view, sub: _adopt(sub, unit_schedule(sub, r), r))
+        chosen = _per_class(
+            inst, lambda cls: _adopt(cls.instance, unit_schedule(cls.instance, r), r))
     return MultiAssignment(inst, r, chosen)
 
 

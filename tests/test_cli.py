@@ -31,6 +31,16 @@ def weighted_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def empty_chain_matching(chain, tmp_path):
+    """The chain instance and an empty kappa = tau = 1 matching artifact."""
+    path, artifact = tmp_path / "inst.json", tmp_path / "empty.json"
+    write_instance(chain, path)
+    artifact.write_text(json.dumps({"kappa": {"0": 1, "1": 1, "2": 1},
+                                    "tau": {"3": 1, "4": 1}, "edge_cap": None, "mult": []}))
+    return str(path), str(artifact)
+
+
 class TestGen:
     def test_gen_writes_instance(self, tmp_path, capsys):
         out = tmp_path / "star.json"
@@ -368,6 +378,25 @@ class TestVerify:
                                   "--check", "no-short-aug-paths:17")
         assert code == 0
         assert json.loads(stdout)["checks"][0]["pass"] is True
+
+    def test_no_short_aug_paths_witness_on_an_empty_matching(self, empty_chain_matching, capsys):
+        path, artifact = empty_chain_matching
+        code, stdout, _ = run_cli(capsys, "verify", str(path), str(artifact),
+                                  "--check", "no-short-aug-paths:1")
+        assert code == 1
+        entry = json.loads(stdout)["checks"][0]
+        assert entry["pass"] is False
+        assert entry["witness"] == [0, 3]
+
+    @pytest.mark.parametrize("k", ["-1", "0", "2", "abc"])
+    def test_no_short_aug_paths_rejects_bad_k(self, empty_chain_matching, capsys, k):
+        path, artifact = empty_chain_matching
+        code, stdout, err = run_cli(capsys, "verify", str(path), str(artifact),
+                                    "--check", f"no-short-aug-paths:{k}")
+        assert code == 1
+        assert stdout == ""
+        detail = json.loads(err)["detail"]
+        assert f"K must be an odd integer >= 1, got {k!r}" in detail
 
     def test_expansion_check(self, unit_file, tmp_path, capsys):
         dump_dir = tmp_path / "dumps"

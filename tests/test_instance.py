@@ -13,7 +13,6 @@ from semimatch import (
     weight_classes,
     write_instance,
 )
-from semimatch.instance import induced_subinstance
 from conftest import client_expand, random_weighted
 
 
@@ -146,39 +145,42 @@ class TestWeightClasses:
         inst = build_instance(
             range(4), [4, 5], [(0, 4), (1, 4), (2, 5), (3, 5)], {0: 1, 1: 1, 2: 2, 3: 4}
         )
-        views = weight_classes(inst)
-        assert [v.class_index for v in views] == [0, 1, 2]
-        assert [len(v.clients) for v in views] == [2, 1, 1]
-        all_clients = sorted(c for v in views for c in v.clients)
-        all_edges = sorted(e for v in views for e in v.edges)
+        classes = weight_classes(inst)
+        assert [cls.weight for cls in classes] == [1, 2, 4]
+        assert [len(cls.instance.clients) for cls in classes] == [2, 1, 1]
+        all_clients = sorted(cls.base_id[c] for cls in classes for c in cls.instance.clients)
+        all_edges = sorted((cls.base_id[c], cls.base_id[s])
+                           for cls in classes for c, s in cls.instance.edges)
         assert tuple(all_clients) == inst.clients
         assert tuple(all_edges) == inst.edges
 
     def test_unit_instance_single_class(self, chain):
-        views = weight_classes(chain)
-        assert len(views) == 1
-        assert views[0].clients == chain.clients
-        assert views[0].edges == chain.edges
+        (cls,) = weight_classes(chain)
+        assert cls.weight == 1
+        assert cls.base_id == chain.clients + chain.servers
+        assert cls.instance == chain
 
     def test_shared_server(self):
         inst = build_instance([0, 1], [2], [(0, 2), (1, 2)], {0: 2, 1: 2})
-        (view,) = weight_classes(inst)
-        assert view.clients == (0, 1)
-        assert view.servers == (2,)
+        (cls,) = weight_classes(inst)
+        assert cls.weight == 2
+        assert cls.base_id == (0, 1, 2)
+        assert cls.instance.edges == ((0, 2), (1, 2))
 
     def test_rejects_unnormalized(self):
         inst = build_instance([0], [1], [(0, 1)], {0: 3})
         with pytest.raises(InstanceError, match="normalize"):
             weight_classes(inst)
 
-    def test_induced_subinstance_relabels_view(self):
-        # class 1 (weight 2) holds clients 1, 3 on servers 5, 6
+    def test_relabels_each_side_in_ascending_order(self):
+        # class 1 holds clients 0, 2 on server 4; class 2 clients 1, 3 on servers 5, 6
         inst = build_instance(range(4), [4, 5, 6],
                               [(0, 4), (1, 5), (1, 6), (2, 4), (3, 6)], {0: 1, 1: 2, 2: 1, 3: 2})
-        view = weight_classes(inst)[1]
-        assert (view.clients, view.servers) == ((1, 3), (5, 6))
-        assert view.edges == ((1, 5), (1, 6), (3, 6))
-        sub = induced_subinstance(view)
+        ones, twos = weight_classes(inst)
+        assert ones.base_id == (0, 2, 4)
+        assert ones.instance.edges == ((0, 2), (1, 2))
+        assert twos.base_id == (1, 3, 5, 6)
+        sub = twos.instance
         assert (sub.clients, sub.servers) == ((0, 1), (2, 3))
         assert sub.edges == ((0, 2), (0, 3), (1, 3))
         assert sub.is_unit_weight()

@@ -10,7 +10,8 @@ keeps them shows bit-identity at each layer, not only at the end.
 The per-class digests hash what ``weight_classes`` hands the per-class
 solvers: each class's weight, the base vertex of each sub id and the
 sub-instance's edges.  They were recorded before the relabelling moved into
-``weight_classes``.
+``weight_classes``, from the class views and ``induced_subinstance``
+it replaced.
 """
 
 import hashlib
@@ -27,7 +28,6 @@ from semimatch import (
     star_round,
     weight_classes,
 )
-from semimatch.instance import induced_subinstance
 from semimatch.solvers import _split, unit_schedule
 from conftest import random_split_support
 from test_golden import INSTANCES
@@ -48,7 +48,7 @@ def full_kk_support(k: int, seed: int):
 
 def interleaved(seed: int):
     """Clients on the even ids and servers on the odd ones, with weights
-    1..8: no class's relabelling is the identity."""
+    1, 2, 4 and 8: no class's relabelling is the identity."""
     rng = random.Random(seed)
     clients, servers = range(0, 40, 2), range(1, 40, 2)
     edges = {(c, rng.choice(servers)) for c in clients for _ in range(3)}
@@ -59,10 +59,9 @@ def class_digests(inst) -> list[str]:
     """One digest per weight class, in class order, of (class weight, base
     vertex of each sub id, sub-instance edges)."""
     return [
-        hashlib.sha256(json.dumps([view.class_weight, [*view.clients, *view.servers],
-                                   [[*e] for e in induced_subinstance(view).edges]]
+        hashlib.sha256(json.dumps([cls.weight, [*cls.base_id], [[*e] for e in cls.instance.edges]]
                                   ).encode()).hexdigest()[:16]
-        for view in weight_classes(inst)
+        for cls in weight_classes(inst)
     ]
 
 

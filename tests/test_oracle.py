@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from semimatch import Assignment, build_instance, generate_instance
+from semimatch import Assignment, CapacityProfile, CapMatching, build_instance, generate_instance
 from semimatch.oracle import (
     EnumerationTooLarge,
     apply_cost_reducing_path,
@@ -14,6 +14,7 @@ from semimatch.oracle import (
     opt_minmax_unweighted,
     opt_power_sums,
     opt_split,
+    verify_no_short_aug_paths,
 )
 from semimatch.solvers import InfeasibleError
 from conftest import random_unit, random_weighted
@@ -45,6 +46,14 @@ class TestOptMinmax:
         inst = build_instance([0, 1], [2], [(0, 2)])
         with pytest.raises(InfeasibleError):
             opt_minmax_unweighted(inst)
+
+
+class TestVerifyNoShortAugPaths:
+    @pytest.mark.parametrize("k", [-1, 0, 2])
+    def test_rejects_k_that_is_not_odd_and_positive(self, chain, k):
+        prof = CapacityProfile.uniform(chain, 1, 1)
+        with pytest.raises(ValueError, match="k must be odd and >= 1"):
+            verify_no_short_aug_paths(chain, prof, CapMatching(chain, prof), k)
 
 
 class TestOptSplit:

@@ -136,8 +136,18 @@ class TestRejectsNonEdges:
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) not in instance"):
             SplitAssignment(chain, {edge: 1, (1, 3): 1, (2, 4): 1})
 
-    def test_non_positive_entries_are_ignored(self, chain):
+    def test_zero_entries_are_ignored(self, chain):
         assert cancel_cycles(chain, {(0, 9): 0, (0, 3): 1}) == {(0, 3): 1}
+
+
+class TestRejectsNegativeMultiplicities:
+    def test_cancel_cycles(self, chain):
+        with pytest.raises(ValueError, match=r"negative multiplicity on edge \(0, 3\)"):
+            cancel_cycles(chain, {(0, 3): -1, (1, 3): 1})
+
+    def test_star_round(self, chain):
+        with pytest.raises(ValueError, match=r"negative multiplicity on edge \(1, 4\)"):
+            star_round(chain, {(0, 3): 1, (1, 3): 1, (1, 4): -1, (2, 4): 1})
 
 
 class TestStarRound:

@@ -101,6 +101,11 @@ class TestAssignment:
         with pytest.raises(ValueError, match="non-adjacent"):
             Assignment(chain, {0: 4, 1: 3, 2: 4})
 
+    def test_rejects_a_key_that_is_not_a_client(self, chain):
+        # server 3 as a key
+        with pytest.raises(ValueError, match="3 is not a client"):
+            Assignment(chain, {0: 3, 1: 3, 2: 4, 3: 4})
+
     def test_load_vector_weighted(self):
         inst = build_instance([0, 1], [2], [(0, 2), (1, 2)], {0: 2, 1: 1})
         a = Assignment(inst, {0: 2, 1: 2})
@@ -359,3 +364,7 @@ class TestMultiAssignment:
     def test_validation(self, chain):
         with pytest.raises(ValueError, match="distinct"):
             MultiAssignment(chain, 2, {0: (3, 3), 1: (3, 4), 2: (4, 3)})
+
+    def test_rejects_a_key_that_is_not_a_client(self, chain):
+        with pytest.raises(ValueError, match="7 is not a client"):
+            MultiAssignment(chain, 1, {0: (3,), 1: (3,), 2: (4,), 7: (4,)})
