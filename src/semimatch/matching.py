@@ -10,18 +10,24 @@ vertex, which the oracles, the dumps, the rounding and the solvers read.
 The engine itself runs on ``_Residual``, flat lists indexed by the
 instance's edge ids and vertex ids (see ``Instance``): the multiplicity of
 every edge, and the degree and capacity of every vertex.  It is built from
-three pieces:
+four pieces:
 
+* ``_greedy_fill``, the first phase.  From the empty matching every shortest
+  augmenting path is a single edge, so blocking the length-1 layered graph
+  is a greedy fill: each client in ascending id takes units from its
+  servers with room in ascending order, with no search.
 * ``_bfs``, the one layered breadth-first search.  Started from a given list
   of clients, it labels residual vertices by distance and stops once the layer
   holding the nearest unsaturated server is complete (or at a length limit).
+  When no server has room no path can end, so it returns at once.
 * ``_blocking_phase``, which saturates that layered graph from the same list
   of clients with an iterative current-arc DFS.
-* ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Each
-  phase layers the residual graph from every unsaturated client and blocks
-  it at the current shortest augmenting-path length, so that length strictly
-  increases per phase.  Its state lives in one ``_Residual`` for the whole
-  loop and becomes a ``CapMatching`` once, at the end.
+* ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Its
+  first phase is the greedy fill; each later phase layers the residual graph
+  from every unsaturated client and blocks it at the current shortest
+  augmenting-path length, so that length strictly increases per phase.  Its
+  state lives in one ``_Residual`` for the whole loop and becomes a
+  ``CapMatching`` once, at the end.
 
 The entry points are thin: ``eliminate_short_paths`` runs phases until no
 augmenting path of length <= k remains, ``blocking_flow_matching`` runs a
@@ -215,7 +221,8 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     labels stop at the shortest augmenting-path length, Hopcroft-Karp style.
     Clients sit at even distances and servers at odd ones; servers with
     tau = 0 are left out of the residual graph.  An arc's multiplicity is
-    read only once its head is known to be unlabelled.
+    read only once its head is known to be unlabelled.  When no server has
+    room, no path can end: only the roots are labelled and ``end`` is None.
     """
     inst = state.inst
     mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
@@ -225,6 +232,8 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     parent = [-1] * inst.n
     for c in roots:
         level[c] = 0
+    if not any(deg[s] < cap[s] for s in inst.servers):
+        return level, parent, None
     # vertices of each side still unlabelled: a scan toward a side with none
     # left can label nothing, so it is skipped
     clients_left = len(inst.clients) - len(roots)
@@ -368,13 +377,55 @@ def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
                 open_ends -= 1
 
 
+def _greedy_fill(state: _Residual) -> bool:
+    """The first phase, on the empty ``state``: block the length-1 layered
+    graph, exactly as ``_blocking_phase`` does from every client.
+
+    Each client in ascending id takes units from its servers with room in
+    ascending arc order, min(its need, the server's room, edge_cap) from
+    each, and the fill stops once no server with room is left.  Every edge
+    is met once with multiplicity 0, so no residual search is needed.
+    Returns whether any unit moved; if none did, no augmenting path of any
+    length exists.
+    """
+    inst = state.inst
+    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
+    client_adj, server_adj, edge_start = inst.client_adj, inst.server_adj, inst.edge_start
+    # servers with room that some client reaches: once none is left, stop
+    open_ends = sum(1 for s in inst.servers if cap[s] and server_adj[s])
+    moved = False
+    for c in inst.clients:
+        if not open_ends:
+            break
+        need = cap[c]
+        for e, s in enumerate(client_adj[c], edge_start[c]):
+            room = cap[s] - deg[s]
+            if room <= 0:
+                continue
+            got = min(need, room, edge_cap)
+            mult[e] = got
+            deg[s] += got
+            need -= got
+            if got == room:
+                open_ends -= 1
+            if not need or not open_ends:
+                break
+        if need < cap[c]:
+            deg[c] = cap[c] - need
+            moved = True
+    return moved
+
+
 def _phases(inst: Instance, profile: CapacityProfile, max_phases: float,
             max_len: float) -> CapMatching:
     """Run up to ``max_phases`` shortest-augmentation phases from the empty
     matching, stopping once no augmenting path of length <= max_len is
-    left."""
+    left.  ``max_phases`` and ``max_len`` are at least 1, so the greedy fill
+    is always phase 1."""
     state = _Residual(inst, profile)
-    phase = 0
+    phase = 1
+    if not _greedy_fill(state):
+        return state.matching()
     while phase < max_phases:
         roots = state.free_clients()
         level, _, end = _bfs(state, roots, max_len)

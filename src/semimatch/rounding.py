@@ -11,13 +11,19 @@ edge ids (see ``Instance``): a flat multiplicity per edge id, one neighbour
 list per vertex filled from the support's ascending edge ids, and per-vertex
 flat lists and bytearrays for the walk.  Edge ids sort like (c, s), so the
 neighbour lists are ascending at both ends and every result matches the
-one the same walk gives on (c, s) tuples.  A negative entry, or a positive
-one on a key that is not an edge of the instance, raises ValueError.
+one the same walk gives on (c, s) tuples.  An entry that is not a plain int,
+a negative one, or a positive one on a key that is not an edge of the
+instance, raises ValueError.
+
+``round_split`` runs the two walks back to back on the edge ids that its
+``SplitAssignment`` looked up once, with no dict in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .instance import Instance
 
@@ -25,27 +31,32 @@ from .instance import Instance
 @dataclass
 class SplitAssignment:
     """Client-perfect (w, inf)-matching: each client spreads exactly w(c)
-    integral units over adjacent servers."""
+    integral units over adjacent servers.
+
+    Construction looks every key up once and keeps the support's edge ids
+    and flat multiplicities for ``round_split``.  ``mult`` is then a
+    read-only view of the positive entries (the caller's dict is copied,
+    not edited), so it cannot drift from those flat lists.
+    """
 
     inst: Instance
-    mult: dict[tuple[int, int], int] = field(default_factory=dict)
+    mult: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        deg = {c: 0 for c in self.inst.clients}
-        edge_id = self.inst.edge_id
-        for (c, s), x in list(self.mult.items()):
-            if x < 0:
-                raise ValueError(f"negative multiplicity on edge ({c}, {s})")
-            if x == 0:
-                del self.mult[(c, s)]
-                continue
-            if edge_id(c, s) is None:
-                raise ValueError(f"edge ({c}, {s}) not in instance")
-            deg[c] += x
-        for c, d in deg.items():
-            if d != self.inst.weight[c]:
+        inst = self.inst
+        ids, x = _support(inst, self.mult, "edge ({c}, {s}) not in instance")
+        mult = dict(self.mult)
+        if len(mult) > len(ids):  # drop the zero entries
+            mult = {e: units for e, units in mult.items() if units}
+        self.mult, self._ids, self._x = MappingProxyType(mult), ids, x
+        deg = [0] * inst.n
+        edges = inst.edges
+        for e in ids:
+            deg[edges[e][0]] += x[e]
+        for c in inst.clients:
+            if deg[c] != inst.weight[c]:
                 raise ValueError(
-                    f"client {c} places {d} units but has weight {self.inst.weight[c]}"
+                    f"client {c} places {deg[c]} units but has weight {inst.weight[c]}"
                 )
 
     def loads(self) -> dict[int, int]:
@@ -64,30 +75,46 @@ def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
     return deg
 
 
-def _support(inst: Instance, mult: dict[tuple[int, int], int]) -> tuple[list[int], list[int]]:
+def _support(inst: Instance, mult: Mapping[tuple[int, int], int],
+             not_an_edge: str = "({c}, {s}) is not an edge of the instance",
+             ) -> tuple[list[int], list[int]]:
     """The support of ``mult`` on ``inst``'s edge ids: its edge ids in
     ascending order, and the multiplicity of every edge id (0 off the
-    support).  Zero entries are ignored; a negative one, or a positive one on
-    a key that is not an edge of ``inst``, raises ValueError."""
+    support).  Zero entries are ignored.  A value that is not a plain int
+    (a bool or a float included) or is negative raises ValueError, and so
+    does a positive one on a key that is not an edge of ``inst``, with the
+    message ``not_an_edge`` formatted with the key's ``c`` and ``s``."""
     ids, x = [], [0] * inst.m
     edge_id = inst.edge_id
     for (c, s), units in mult.items():
+        if type(units) is not int:
+            raise ValueError(f"multiplicity {units!r} on edge ({c}, {s}) is not an int")
         if units < 0:
             raise ValueError(f"negative multiplicity on edge ({c}, {s})")
         if units:
             e = edge_id(c, s)
             if e is None:
-                raise ValueError(f"({c}, {s}) is not an edge of the instance")
+                raise ValueError(not_an_edge.format(c=c, s=s))
             ids.append(e)
             x[e] = units
     ids.sort()
     return ids, x
 
 
-def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+def cancel_cycles(inst: Instance, mult: Mapping[tuple[int, int], int]
+                  ) -> dict[tuple[int, int], int]:
     """Remove all support cycles by alternating +/- updates, preserving every
     vertex degree; returns a new dict, in ascending edge order, and leaves
-    ``mult`` unchanged.
+    ``mult`` unchanged.  See ``_cancel_walk``."""
+    ids, x = _support(inst, mult)
+    _cancel_walk(inst, ids, x)
+    edges = inst.edges
+    return {edges[e]: x[e] for e in ids if x[e]}
+
+
+def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> None:
+    """Cancel every cycle of the support ``ids`` (ascending edge ids) in
+    place in ``x``, the multiplicity of every edge id.
 
     One iterative DFS over the support, roots and neighbours in ascending id.
     The DFS path is a tree path, so a live edge from the top vertex to a vertex
@@ -98,12 +125,10 @@ def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tupl
     vertices cut off are unvisited again and rescanned from their first
     neighbour when the DFS reaches them anew.
 
-    The walk runs on edge ids: ``x[e]`` is the multiplicity of edge id e and
     ``adj[v]`` lists v's support edge ids in ascending order.  Ids sort like
     (c, s), so that is ascending neighbour order at both ends, and the
     smallest id on a cycle is its lexicographically smallest edge.
     """
-    ids, x = _support(inst, mult)
     edges = inst.edges
     adj: list[list[int]] = [[] for _ in range(inst.n)]
     tip = [0] * inst.m  # the sum of edge e's ends: its far end from v is tip[e] - v
@@ -160,12 +185,17 @@ def cancel_cycles(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[tupl
                         pos[w] = -1
                     del path[k:], tree[k:]
                     break
-    return {edges[e]: x[e] for e in ids if x[e]}
 
 
-def star_round(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[int, int]:
+def star_round(inst: Instance, mult: Mapping[tuple[int, int], int]) -> dict[int, int]:
     """Round a forest-supported matching with client degrees equal to the
-    weights into an assignment.
+    weights into an assignment.  See ``_star_walk``."""
+    return _star_walk(inst, *_support(inst, mult))
+
+
+def _star_walk(inst: Instance, ids: list[int], x: list[int]) -> dict[int, int]:
+    """The assignment ``star_round`` picks on the support ``ids`` (ascending
+    edge ids) with the multiplicity ``x[e]`` of every edge id.
 
     Each support tree is rooted at its smallest-id vertex.  A client with a
     child server assigns wholly to its smallest-id child; a childless client
@@ -174,10 +204,9 @@ def star_round(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[int, in
     (its tree parent), and the clients assigning up into s account for at
     most x(delta(s)) units.
 
-    Neighbour lists are filled from the support's edge ids in ascending
-    order, so each is ascending.
+    Neighbour lists are filled from ``ids`` in ascending order, so each is
+    ascending.
     """
-    ids, x = _support(inst, mult)
     edges, n = inst.edges, inst.n
     deg = [0] * n
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -221,9 +250,19 @@ def star_round(inst: Instance, mult: dict[tuple[int, int], int]) -> dict[int, in
 
 
 def round_split(inst: Instance, split: SplitAssignment):
-    """cancel_cycles followed by star_round; returns a solvers.Assignment."""
+    """cancel_cycles followed by star_round; returns a solvers.Assignment.
+
+    Both walks run on the edge ids ``split`` looked up, which hold for
+    ``inst`` when it shares ``split.inst``'s edge layout (as a
+    ``normalize_weights`` result does); otherwise ``split.mult`` is looked
+    up on ``inst`` afresh.
+    """
     from .solvers import Assignment  # local import to avoid a cycle
 
-    forest = cancel_cycles(inst, split.mult)
-    mapping = star_round(inst, forest)
-    return Assignment(inst, mapping)
+    if inst.edges is split.inst.edges:
+        ids, x = split._ids, list(split._x)
+    else:
+        ids, x = _support(inst, split.mult)
+    _cancel_walk(inst, ids, x)
+    forest = [e for e in ids if x[e]]
+    return Assignment(inst, _star_walk(inst, forest, x))

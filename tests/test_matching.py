@@ -16,7 +16,13 @@ from semimatch import (
     is_client_perfect,
     solve_sequential,
 )
-from semimatch.matching import residual_source_sink_distance
+from semimatch.matching import (
+    _blocking_phase,
+    _bfs,
+    _greedy_fill,
+    _Residual,
+    residual_source_sink_distance,
+)
 from semimatch.oracle import (
     _flow_value,
     client_perfect_matching_exists,
@@ -176,6 +182,31 @@ class TestBlockingFlow:
         assert verify_no_short_aug_paths(inst, prof, x, k) is True
 
 
+class TestFullServers:
+    """Every server is full but clients still have room: no augmenting path
+    can end, so the search stops before it scans an arc."""
+
+    @pytest.fixture
+    def full(self, chain):
+        prof = CapacityProfile.uniform(chain, 2, 1)
+        return chain, CapMatching(chain, prof, {(0, 3): 1, (1, 4): 1})
+
+    def test_bfs_labels_no_server(self, full):
+        inst, x = full
+        state = _Residual(inst, x.profile, x)
+        roots = state.free_clients()
+        assert roots == [0, 1, 2]
+        level, parent, end = _bfs(state, roots)
+        assert end is None
+        assert [level[s] for s in inst.servers] == [-1, -1]
+        assert set(parent) == {-1}
+
+    def test_no_augmenting_path(self, full):
+        inst, x = full
+        assert find_augmenting_path(inst, x, 9) is None
+        assert residual_source_sink_distance(inst, x) == math.inf
+
+
 class TestCapMatching:
     @pytest.mark.parametrize("edge", [(0, 3), (0, 7), (2, 3), (3, 1)])
     def test_rejects_a_key_that_is_not_an_edge(self, edge):
@@ -317,6 +348,19 @@ class TestEngineProperties:
         flow = _flow_value(inst, prof.kappa, prof.tau, prof.edge_cap)
         assert sum(x.client_deg.values()) == flow
         assert residual_source_sink_distance(inst, x) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_profiles())
+    def test_greedy_fill_is_the_first_blocking_phase(self, case):
+        inst, prof = case
+        filled, searched = _Residual(inst, prof), _Residual(inst, prof)
+        moved = _greedy_fill(filled)
+        roots = searched.free_clients()
+        level, _, end = _bfs(searched, roots)
+        assert moved == (end is not None)
+        if end is not None:
+            _blocking_phase(searched, roots, level, level[end])
+        assert (filled.mult, filled.deg) == (searched.mult, searched.deg)
 
     @settings(max_examples=200, deadline=None)
     @given(small_profiles(), st.integers(1, 3))

@@ -140,6 +140,24 @@ class TestRejectsNonEdges:
         assert cancel_cycles(chain, {(0, 9): 0, (0, 3): 1}) == {(0, 3): 1}
 
 
+class TestRejectsNonIntMultiplicities:
+    @pytest.mark.parametrize("units", [0.5, 1.0, True])
+    def test_cancel_cycles(self, chain, units):
+        with pytest.raises(ValueError, match=r"on edge \(1, 3\) is not an int"):
+            cancel_cycles(chain, {(0, 3): 1, (1, 3): units})
+
+    @pytest.mark.parametrize("units", [0.5, 1.0, True])
+    def test_star_round(self, chain, units):
+        with pytest.raises(ValueError, match=r"on edge \(1, 3\) is not an int"):
+            star_round(chain, {(0, 3): 1, (1, 3): units, (2, 4): 1})
+
+    @pytest.mark.parametrize("units", [0.5, 1.0, True])
+    def test_split_assignment(self, chain, units):
+        mult = {(0, 3): 1, (1, 3): units, (1, 4): 1 - units, (2, 4): 1}
+        with pytest.raises(ValueError, match=r"on edge \(1, 3\) is not an int"):
+            SplitAssignment(chain, mult)
+
+
 class TestRejectsNegativeMultiplicities:
     def test_cancel_cycles(self, chain):
         with pytest.raises(ValueError, match=r"negative multiplicity on edge \(0, 3\)"):
@@ -210,8 +228,22 @@ class TestSplitAssignment:
         sa = SplitAssignment(chain, {(0, 3): 1, (1, 4): 1, (2, 4): 1})
         assert sa.loads() == {3: 1, 4: 2}
 
+    def test_mult_is_read_only(self, chain):
+        given = {(0, 3): 1, (1, 3): 1, (1, 4): 0, (2, 4): 1}
+        sa = SplitAssignment(chain, given)
+        with pytest.raises(TypeError):
+            sa.mult[(1, 3)] = 0
+        assert (1, 4) in given
+
 
 class TestRoundSplit:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_instance_of_another_layout(self, seed):
+        inst = random_weighted(seed, nc=8, ns=4, p=0.5, max_weight=8)
+        twin = build_instance(inst.clients, inst.servers, inst.edges, inst.weight)
+        split = split_assignment_seq(inst)
+        assert round_split(twin, split).mapping == round_split(inst, split).mapping
+
     @pytest.mark.parametrize("seed", range(20))
     def test_per_server_bound(self, seed):
         inst = random_weighted(seed, nc=8, ns=4, p=0.5, max_weight=8)
