@@ -10,24 +10,32 @@ vertex, which the oracles, the dumps, the rounding and the solvers read.
 The engine itself runs on ``_Residual``, flat lists indexed by the
 instance's edge ids and vertex ids (see ``Instance``): the multiplicity of
 every edge, and the degree and capacity of every vertex.  It is built from
-four pieces:
+these pieces:
 
 * ``_greedy_fill``, the first phase.  From the empty matching every shortest
   augmenting path is a single edge, so blocking the length-1 layered graph
   is a greedy fill: each client in ascending id takes units from its
   servers with room in ascending order, with no search.
-* ``_bfs``, the one layered breadth-first search.  Started from a given list
-  of clients, it labels residual vertices by distance and stops once the layer
-  holding the nearest unsaturated server is complete (or at a length limit).
-  When no server has room no path can end, so it returns at once.
-* ``_blocking_phase``, which saturates that layered graph from the same list
-  of clients with an iterative current-arc DFS.
+* ``_bfs``, the forward layered breadth-first search.  Started from a given
+  list of clients, it labels residual vertices by distance and stops once the
+  layer holding the nearest unsaturated server is complete (or at a length
+  limit).  When no server has room no path can end, so it returns at once.
+* ``_bfs_back``, the backward search.  Started from the servers with room, it
+  labels residual vertices by their distance to room over reversed arcs and
+  stops once the layer holding the nearest unsaturated client is complete.
+  With D that client's distance, ``level[v] = D - dist[v]`` agrees with the
+  forward labels on every shortest augmenting path.
+* ``_layers``, the side rule: a phase is layered from whichever side has
+  fewer free vertices, unsaturated clients forward or servers with room
+  backward.
+* ``_blocking_phase``, which saturates that layered graph from its root
+  clients with an iterative current-arc DFS.
 * ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Its
-  first phase is the greedy fill; each later phase layers the residual graph
-  from every unsaturated client and blocks it at the current shortest
-  augmenting-path length, so that length strictly increases per phase.  Its
-  state lives in one ``_Residual`` for the whole loop and becomes a
-  ``CapMatching`` once, at the end.
+  first phase is the greedy fill; each later phase is layered by
+  ``_layers`` and blocked at the current shortest augmenting-path length,
+  so that length strictly increases per phase.  Its state lives in one
+  ``_Residual`` for the whole loop and becomes a ``CapMatching`` once, at
+  the end.
 
 The entry points are thin: ``eliminate_short_paths`` runs phases until no
 augmenting path of length <= k remains, ``blocking_flow_matching`` runs a
@@ -53,7 +61,8 @@ class CapacityProfile:
 
     ``edge_cap`` caps the multiplicity of every edge: None for unbounded, or
     a positive int (1 gives simple degree-constrained subgraphs, as used for
-    backup placement).
+    backup placement).  Every capacity is a plain int (a bool or a float is
+    rejected).
     """
 
     kappa: dict[int, int]
@@ -62,9 +71,13 @@ class CapacityProfile:
 
     def __post_init__(self) -> None:
         for c, k in self.kappa.items():
+            if type(k) is not int:
+                raise ValueError(f"kappa({c}) must be an int, got {k!r}")
             if k < 1:
                 raise ValueError(f"kappa({c}) must be >= 1, got {k}")
         for s, t in self.tau.items():
+            if type(t) is not int:
+                raise ValueError(f"tau({s}) must be an int, got {t!r}")
             if t < 0:
                 raise ValueError(f"tau({s}) must be >= 0, got {t}")
         cap = self.edge_cap
@@ -176,7 +189,8 @@ class _Residual:
     multiplicity of edge id e, ``deg[v]`` the matched degree of vertex v and
     ``cap[v]`` its capacity (kappa for a client, tau for a server);
     ``edge_cap`` caps every edge (inf when unbounded).  Starts from
-    ``matching`` when given, else empty."""
+    ``matching`` when given, else empty.  A profile whose kappa and tau do
+    not cover exactly the instance's clients and servers is rejected."""
 
     __slots__ = ("inst", "profile", "edge_cap", "mult", "deg", "cap")
 
@@ -184,10 +198,17 @@ class _Residual:
                  matching: CapMatching | None = None) -> None:
         self.inst, self.profile, self.edge_cap = inst, profile, profile.cap()
         self.cap = [0] * inst.n
-        for c in inst.clients:
-            self.cap[c] = profile.kappa[c]
-        for s in inst.servers:
-            self.cap[s] = profile.tau[s]
+        for name, kind, ids, given in (("kappa", "client", inst.client_adj, profile.kappa),
+                                       ("tau", "server", inst.server_adj, profile.tau)):
+            try:
+                for v in ids:
+                    self.cap[v] = given[v]
+            except KeyError:
+                raise ValueError(f"{name} has no entry for {kind} {v}") from None
+            if len(given) != len(ids):  # every id is covered, so some key is not one
+                extra = next(v for v in given if v not in ids)
+                raise ValueError(f"{name} has an entry for {extra!r}, "
+                                 f"which is not a {kind} of the instance")
         self.mult = [0] * inst.m
         self.deg = [0] * inst.n
         if matching is not None:
@@ -306,7 +327,7 @@ def find_augmenting_path(
 
 def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
                     target_len: int) -> None:
-    """Saturate the level graph that ``_bfs`` built from ``roots``: push flow
+    """Saturate the level graph that ``_layers`` built for ``roots``: push flow
     along level-increasing residual paths of exactly ``target_len`` edges
     until none remain.
 
@@ -416,29 +437,110 @@ def _greedy_fill(state: _Residual) -> bool:
     return moved
 
 
+def _bfs_back(state: _Residual, ends: list[int], max_len: float = _INF):
+    """Layer the residual graph backward from ``ends`` (servers with room).
+
+    Labels every vertex it reaches with its residual distance to the nearest
+    of ``ends``, walking arcs against their direction: into a server from
+    the clients whose edge to it has capacity left, into a client from the
+    servers holding its units.  Vertices at distance >= max_len are not
+    expanded; once an unsaturated client is found, neither is its layer, so
+    unsaturated clients are never expanded (as ``_bfs`` never expands a
+    server with room).
+
+    Returns (roots, level, target_len) for ``_blocking_phase``: the
+    unsaturated clients at the least distance D in ascending id,
+    ``level[v] = D - dist[v]`` for every labelled vertex (-1 elsewhere), and
+    D; or None when no unsaturated client lies within ``max_len``.  On every
+    shortest augmenting path these levels are ``_bfs``'s.  A vertex that
+    ``_bfs`` labels but that cannot reach room within the remaining length
+    is left out, and it is exactly where ``_blocking_phase`` would have
+    entered and retreated without moving a unit; a vertex labelled here
+    that no root reaches along rising levels is never entered.  So the
+    phase pushes the same paths in the same order.
+    """
+    inst = state.inst
+    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
+    client_adj, server_adj = inst.client_adj, inst.server_adj
+    edge_start, server_edges = inst.edge_start, inst.server_edges
+    dist = [-1] * inst.n
+    for s in ends:
+        dist[s] = 0
+    seen = list(ends)  # the queue, kept whole: the labelled vertices in BFS order
+    roots = []
+    stop = max_len
+    for v in seen:
+        d = dist[v]
+        if d >= stop:  # so is every later vertex
+            break
+        d += 1
+        if d & 1:  # a server: clients with capacity left on the edge into it
+            for i, c in enumerate(server_adj[v], edge_start[v]):
+                if dist[c] >= 0 or mult[server_edges[i]] >= edge_cap:
+                    continue
+                dist[c] = d
+                seen.append(c)
+                if deg[c] < cap[c]:
+                    roots.append(c)
+                    stop = d
+        else:  # a client: the servers holding its units
+            for e, s in enumerate(client_adj[v], edge_start[v]):
+                if dist[s] >= 0 or not mult[e]:
+                    continue
+                dist[s] = d
+                seen.append(s)
+    if not roots:
+        return None
+    for v in seen:
+        dist[v] = stop - dist[v]
+    roots.sort()
+    return roots, dist, stop
+
+
+def _layers(state: _Residual, max_len: float):
+    """Layer one phase from whichever side has fewer free vertices.
+
+    With no more unsaturated clients than servers with room, ``_bfs`` runs
+    forward from every unsaturated client; otherwise ``_bfs_back`` runs from
+    every server with room, and only the vertices near them are labelled.
+    Returns (roots, level, target_len) for ``_blocking_phase``, or None when
+    no augmenting path of length <= max_len is left, at once when either
+    side has no free vertex.
+    """
+    deg, cap = state.deg, state.cap
+    clients = state.free_clients()
+    servers = [s for s in state.inst.servers if deg[s] < cap[s]]
+    if not clients or not servers:
+        return None
+    if len(servers) < len(clients):
+        return _bfs_back(state, servers, max_len)
+    level, _, end = _bfs(state, clients, max_len)
+    return None if end is None else (clients, level, level[end])
+
+
 def _phases(inst: Instance, profile: CapacityProfile, max_phases: float,
             max_len: float) -> CapMatching:
     """Run up to ``max_phases`` shortest-augmentation phases from the empty
     matching, stopping once no augmenting path of length <= max_len is
     left.  ``max_phases`` and ``max_len`` are at least 1, so the greedy fill
-    is always phase 1."""
+    is always phase 1; each later phase is layered by ``_layers``, from the
+    side with fewer free vertices, and blocked by ``_blocking_phase``."""
     state = _Residual(inst, profile)
     phase = 1
     if not _greedy_fill(state):
         return state.matching()
     while phase < max_phases:
-        roots = state.free_clients()
-        level, _, end = _bfs(state, roots, max_len)
-        if end is None:
+        layered = _layers(state, max_len)
+        if layered is None:
             break
-        _blocking_phase(state, roots, level, level[end])
+        _blocking_phase(state, *layered)
         phase += 1
     return state.matching()
 
 
 def eliminate_short_paths(inst: Instance, profile: CapacityProfile, k: int) -> CapMatching:
     """Compute a matching with no augmenting path of length <= k."""
-    if k < 1 or k % 2 == 0:
+    if type(k) is not int or k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and >= 1")
     return _phases(inst, profile, _INF, k)
 
@@ -453,7 +555,7 @@ def blocking_flow_matching(inst: Instance, profile: CapacityProfile, phases: int
     p and no augmenting path of length <= p - 2 remains.  Stops early when
     maximum flow is reached (residual distance infinite).
     """
-    if phases < 1:
+    if type(phases) is not int or phases < 1:
         raise ValueError("phases must be >= 1")
     return _phases(inst, profile, phases, _INF)
 

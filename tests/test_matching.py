@@ -16,10 +16,13 @@ from semimatch import (
     is_client_perfect,
     solve_sequential,
 )
+from semimatch import matching
 from semimatch.matching import (
     _blocking_phase,
     _bfs,
+    _bfs_back,
     _greedy_fill,
+    _layers,
     _Residual,
     residual_source_sink_distance,
 )
@@ -30,7 +33,7 @@ from semimatch.oracle import (
     verify_no_short_aug_paths,
 )
 from semimatch.solvers import short_path_bound
-from conftest import random_unit, random_weighted
+from conftest import count_calls, random_unit, random_weighted
 
 
 def enumerate_aug_paths(inst, matching, max_len):
@@ -113,7 +116,18 @@ class TestFindAugmentingPath:
                 assert got is None
 
 
+def two_by_two():
+    """Clients 0, 1 and servers 2, 3: c0-s2, c1-s2, c1-s3."""
+    return build_instance([0, 1], [2, 3], [(0, 2), (1, 2), (1, 3)])
+
+
 class TestEliminateShortPaths:
+    @pytest.mark.parametrize("k", [3.0, True, 0, 2])
+    def test_rejects_k_other_than_an_odd_positive_int(self, k):
+        inst = two_by_two()
+        with pytest.raises(ValueError, match="k must be odd and >= 1"):
+            eliminate_short_paths(inst, CapacityProfile.uniform(inst, 1, 1), k)
+
     def test_star_partial(self, star4):
         prof = CapacityProfile({c: 1 for c in star4.clients}, {4: 2})
         x = eliminate_short_paths(star4, prof, 1)
@@ -154,6 +168,12 @@ class TestEliminateShortPaths:
 
 
 class TestBlockingFlow:
+    @pytest.mark.parametrize("phases", [2.5, 2.0, True, 0])
+    def test_rejects_phases_other_than_a_positive_int(self, phases):
+        inst = two_by_two()
+        with pytest.raises(ValueError, match="phases must be >= 1"):
+            blocking_flow_matching(inst, CapacityProfile.uniform(inst, 1, 1), phases)
+
     def test_chain_maximum(self, chain):
         phases = 9 * math.ceil(math.log2(5))
         x = blocking_flow_matching(chain, CapacityProfile.uniform(chain, 1, 1), phases)
@@ -284,6 +304,37 @@ class TestCapacityProfile:
         with pytest.raises(ValueError, match="edge_cap"):
             CapacityProfile({0: 1}, {1: 1}, edge_cap)
 
+    # a fractional capacity moved half units through the engine, and True
+    # was taken as 1
+    @pytest.mark.parametrize("kappa", [1.5, 1.0, True])
+    def test_rejects_kappa_other_than_an_int(self, kappa):
+        with pytest.raises(ValueError, match=r"kappa\(1\) must be an int"):
+            CapacityProfile({0: 1, 1: kappa}, {2: 1, 3: 1})
+
+    @pytest.mark.parametrize("tau", [1.5, 1.0, True])
+    def test_rejects_tau_other_than_an_int(self, tau):
+        with pytest.raises(ValueError, match=r"tau\(2\) must be an int"):
+            CapacityProfile({0: 1, 1: 1}, {2: tau, 3: 1})
+
+
+class TestProfileCoversInstance:
+    """kappa and tau must name exactly the instance's clients and servers."""
+
+    @pytest.mark.parametrize("kappa, tau, message", [
+        ({0: 1, 1: 1}, {2: 1}, "tau has no entry for server 3"),
+        ({0: 1}, {2: 1, 3: 1}, "kappa has no entry for client 1"),
+        ({0: 1, 1: 1}, {0: 1, 2: 1, 3: 1}, "tau has an entry for 0, which is not a server"),
+        ({0: 1, 1: 1, 3: 1}, {2: 1, 3: 1}, "kappa has an entry for 3, which is not a client"),
+        ({0: 1, 1: 1}, {2: 1, 3: 1, 9: 1}, "tau has an entry for 9, which is not a server"),
+    ])
+    def test_rejects_a_profile_that_does_not_cover_the_instance(self, kappa, tau, message):
+        inst = two_by_two()
+        prof = CapacityProfile(kappa, tau)
+        for run in (lambda: blocking_flow_matching(inst, prof, 5),
+                    lambda: eliminate_short_paths(inst, prof, 5)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
 
 def staircase(n_clients=901):
     """Client i on servers i and i + 1, the last client only on server 0,
@@ -310,6 +361,29 @@ class TestStaircase:
         inst = staircase()
         x = eliminate_short_paths(inst, CapacityProfile.uniform(inst, 1, 1), 2001)
         assert is_client_perfect(inst, x)
+
+
+def distance_to_room(inst, x):
+    """Every vertex's residual distance to a server with room under matching
+    x, by relaxing the residual arcs until nothing changes (inf where none
+    is reachable)."""
+    arcs = []
+    for c, s in inst.edges:
+        units = x.mult.get((c, s), 0)
+        if units < x.profile.cap():
+            arcs.append((c, s))
+        if units:
+            arcs.append((s, c))
+    dist = [0 if v in inst.server_adj and not x.server_saturated(v) else math.inf
+            for v in range(inst.n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in arcs:
+            if dist[v] + 1 < dist[u]:
+                dist[u] = dist[v] + 1
+                changed = True
+    return dist
 
 
 @st.composite
@@ -362,6 +436,27 @@ class TestEngineProperties:
             _blocking_phase(searched, roots, level, level[end])
         assert (filled.mult, filled.deg) == (searched.mult, searched.deg)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(small_profiles(), st.integers(0, 3), st.sampled_from([1, 3, 5, math.inf]))
+    def test_backward_layering_blocks_as_forward(self, case, phases, max_len):
+        inst, prof = case
+        x = CapMatching(inst, prof) if phases == 0 else blocking_flow_matching(inst, prof, phases)
+        forward, backward = _Residual(inst, prof, x), _Residual(inst, prof, x)
+        roots = forward.free_clients()
+        level, _, end = _bfs(forward, roots, max_len)
+        ends = [s for s in inst.servers if backward.deg[s] < backward.cap[s]]
+        layered = _bfs_back(backward, ends, max_len)
+        assert (layered is None) == (end is None)
+        if end is not None:
+            back_roots, back_level, target = layered
+            assert target == level[end]
+            dist = distance_to_room(inst, x)
+            assert back_level == [target - d if d <= target else -1 for d in dist]
+            assert back_roots == [c for c in roots if dist[c] == target]
+            _blocking_phase(forward, roots, level, level[end])
+            _blocking_phase(backward, back_roots, back_level, target)
+        assert (forward.mult, forward.deg) == (backward.mult, backward.deg)
+
     @settings(max_examples=200, deadline=None)
     @given(small_profiles(), st.integers(1, 3))
     def test_find_augmenting_path_is_shortest(self, case, phases):
@@ -377,3 +472,44 @@ class TestEngineProperties:
                 else:
                     assert got.vertices in paths
                     assert got.length == min(len(p) - 1 for p in paths)
+
+
+class TestLayerSide:
+    """``_layers`` layers a phase from the side with fewer free vertices."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        return (count_calls(monkeypatch, matching, "_bfs"),
+                count_calls(monkeypatch, matching, "_bfs_back"))
+
+    def test_one_server_with_room_layers_backward(self, searches):
+        # free clients 0, 3, 4, 5; only server 6 has room, next to client 0
+        inst = build_instance(range(6), [6, 7, 8],
+                              [(0, 6), (1, 7), (2, 8), (3, 7), (4, 8), (5, 7), (5, 8)])
+        prof = CapacityProfile.uniform(inst, 1, 1)
+        state = _Residual(inst, prof, CapMatching(inst, prof, {(1, 7): 1, (2, 8): 1}))
+        roots, level, target = _layers(state, math.inf)
+        assert (roots, target) == ([0], 1)
+        # only server 6 and its neighbourhood are labelled
+        assert {v: level[v] for v in range(inst.n) if level[v] >= 0} == {0: 0, 6: 1}
+        assert [len(calls) for calls in searches] == [0, 1]
+
+    def test_one_free_client_layers_forward(self, searches):
+        # client 1 is the only free client; servers 3, 4, 5 have room
+        inst = build_instance([0, 1], [2, 3, 4, 5], [(0, 2), (1, 2), (1, 3), (1, 4), (1, 5)])
+        prof = CapacityProfile.uniform(inst, 1, 1)
+        state = _Residual(inst, prof, CapMatching(inst, prof, {(0, 2): 1}))
+        roots, level, target = _layers(state, math.inf)
+        assert [len(calls) for calls in searches] == [1, 0]
+        assert (roots, target) == ([1], 1)
+        assert level == _bfs(state, [1])[0]
+
+    @pytest.mark.parametrize("tau, mult", [
+        ({3: 1, 4: 1}, {(0, 3): 1, (2, 4): 1}),  # every server full, client 1 free
+        ({3: 1, 4: 3}, {(0, 3): 1, (1, 4): 1, (2, 4): 1}),  # every client saturated
+    ])
+    def test_no_free_vertex_on_a_side_runs_no_search(self, chain, searches, tau, mult):
+        prof = CapacityProfile({c: 1 for c in chain.clients}, tau)
+        state = _Residual(chain, prof, CapMatching(chain, prof, mult))
+        assert _layers(state, math.inf) is None
+        assert [len(calls) for calls in searches] == [0, 0]
