@@ -16,12 +16,10 @@ from .instance import (
     write_instance,
 )
 from .matching import (
-    AugPath,
     CapacityProfile,
     CapMatching,
     blocking_flow_matching,
     eliminate_short_paths,
-    find_augmenting_path,
     is_client_perfect,
 )
 from .rounding import SplitAssignment, cancel_cycles, round_split, star_round

@@ -282,7 +282,7 @@ def cmd_verify(args) -> int:
                 verdict = oracle_mod.verify_no_short_aug_paths(inst, matching.profile, matching, k)
                 entry["pass"] = verdict is True
                 if verdict is not True:
-                    entry["witness"] = verdict.vertices
+                    entry["witness"] = verdict
             elif name == "expansion":
                 alpha = _alpha(param)
                 matching = _load_matching_artifact(inst, doc)

@@ -38,10 +38,11 @@ these pieces:
   the end.
 
 The entry points are thin: ``eliminate_short_paths`` runs phases until no
-augmenting path of length <= k remains, ``blocking_flow_matching`` runs a
-fixed number of phases, and ``find_augmenting_path`` and
-``residual_source_sink_distance`` read one search.  Everything is
-deterministic: neighbors are always scanned in ascending id order.
+augmenting path of length <= k remains, and ``blocking_flow_matching`` runs
+a fixed number of phases.  The checks of their results (augmenting paths,
+the residual source-sink distance) live in ``oracle``, which shares no code
+with the engine.  Everything is deterministic: neighbors are always scanned
+in ascending id order.
 """
 
 from __future__ import annotations
@@ -97,6 +98,25 @@ class CapacityProfile:
         )
 
 
+def _capacities(inst: Instance, profile: CapacityProfile) -> list[int]:
+    """The capacity of every vertex by id: kappa for a client, tau for a
+    server.  A profile whose kappa and tau do not name exactly the
+    instance's clients and servers is rejected."""
+    cap = [0] * inst.n
+    for name, kind, ids, given in (("kappa", "client", inst.client_adj, profile.kappa),
+                                   ("tau", "server", inst.server_adj, profile.tau)):
+        try:
+            for v in ids:
+                cap[v] = given[v]
+        except KeyError:
+            raise ValueError(f"{name} has no entry for {kind} {v}") from None
+        if len(given) != len(ids):  # every id is covered, so some key is not one
+            extra = next(v for v in given if v not in ids)
+            raise ValueError(f"{name} has an entry for {extra!r}, "
+                             f"which is not a {kind} of the instance")
+    return cap
+
+
 @dataclass
 class CapMatching:
     """Edge multiplicities under a CapacityProfile, with cached degrees.
@@ -104,7 +124,8 @@ class CapMatching:
     The public view of a matching: ``mult`` maps each edge (c, s) of
     positive multiplicity to it, ``client_deg`` and ``server_deg`` give every
     vertex's matched degree.  A key that is not an edge of ``inst`` is
-    rejected.
+    rejected, and so is a profile that does not cover ``inst``
+    (``_capacities``).
     """
 
     inst: Instance
@@ -112,6 +133,7 @@ class CapMatching:
     mult: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _capacities(self.inst, self.profile)  # rejects a profile not covering inst
         self.client_deg = {c: 0 for c in self.inst.clients}
         self.server_deg = {s: 0 for s in self.inst.servers}
         for (c, s), x in list(self.mult.items()):
@@ -168,18 +190,6 @@ class CapMatching:
                 raise ValueError(f"edge {e} over capacity: {x} > {cap}")
 
 
-@dataclass
-class AugPath:
-    """Alternating path c, s, c', s', ... from an unsaturated client to an
-    unsaturated server; odd number of edges."""
-
-    vertices: list[int]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-
 def is_client_perfect(inst: Instance, matching: CapMatching) -> bool:
     return all(matching.client_deg[c] == matching.profile.kappa[c] for c in inst.clients)
 
@@ -197,18 +207,7 @@ class _Residual:
     def __init__(self, inst: Instance, profile: CapacityProfile,
                  matching: CapMatching | None = None) -> None:
         self.inst, self.profile, self.edge_cap = inst, profile, profile.cap()
-        self.cap = [0] * inst.n
-        for name, kind, ids, given in (("kappa", "client", inst.client_adj, profile.kappa),
-                                       ("tau", "server", inst.server_adj, profile.tau)):
-            try:
-                for v in ids:
-                    self.cap[v] = given[v]
-            except KeyError:
-                raise ValueError(f"{name} has no entry for {kind} {v}") from None
-            if len(given) != len(ids):  # every id is covered, so some key is not one
-                extra = next(v for v in given if v not in ids)
-                raise ValueError(f"{name} has an entry for {extra!r}, "
-                                 f"which is not a {kind} of the instance")
+        self.cap = _capacities(inst, profile)
         self.mult = [0] * inst.m
         self.deg = [0] * inst.n
         if matching is not None:
@@ -234,9 +233,8 @@ class _Residual:
 def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     """Layer the residual graph from ``roots`` (unsaturated clients).
 
-    Returns (level, parent, end): lists by vertex id of the distance and the
-    BFS parent of every labelled vertex (-1 where unlabelled, and as the
-    parent of a root), and the first unsaturated server found (None if
+    Returns (level, end): the distance of every labelled vertex by vertex id
+    (-1 where unlabelled), and the first unsaturated server found (None if
     there is none within ``max_len`` edges).  Vertices at distance >= max_len
     are not expanded; once ``end`` is found, neither is its layer, so the
     labels stop at the shortest augmenting-path length, Hopcroft-Karp style.
@@ -250,11 +248,10 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     client_adj, server_adj = inst.client_adj, inst.server_adj
     edge_start, server_edges = inst.edge_start, inst.server_edges
     level = [-1] * inst.n
-    parent = [-1] * inst.n
     for c in roots:
         level[c] = 0
     if not any(deg[s] < cap[s] for s in inst.servers):
-        return level, parent, None
+        return level, None
     # vertices of each side still unlabelled: a scan toward a side with none
     # left can label nothing, so it is skipped
     clients_left = len(inst.clients) - len(roots)
@@ -275,7 +272,6 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
                 if level[s] >= 0 or cap[s] == 0 or mult[e] >= edge_cap:
                     continue
                 level[s] = d
-                parent[s] = v
                 servers_left -= 1
                 if deg[s] < cap[s]:
                     if end is None:
@@ -289,40 +285,9 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
                 if level[c] >= 0 or not mult[server_edges[i]]:
                     continue
                 level[c] = d
-                parent[c] = v
                 clients_left -= 1
                 queue.append(c)
-    return level, parent, end
-
-
-def find_augmenting_path(
-    inst: Instance,
-    matching: CapMatching,
-    max_len: int,
-    start_client: int | None = None,
-) -> AugPath | None:
-    """Shortest augmenting path of length <= max_len, or None.
-
-    With no ``start_client`` the search starts from every unsaturated client
-    at once.
-    """
-    if max_len < 1 or max_len % 2 == 0:
-        raise ValueError("max_len must be odd and >= 1")
-    if start_client is not None and start_client not in inst.client_adj:
-        raise ValueError(f"start_client {start_client!r} is not a client of the instance")
-    state = _Residual(inst, matching.profile, matching)
-    if start_client is None:
-        roots = state.free_clients()
-    else:
-        roots = [] if matching.client_saturated(start_client) else [start_client]
-    _, parent, end = _bfs(state, roots, max_len)
-    if end is None:
-        return None
-    path = [end]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return AugPath(path)
+    return level, end
 
 
 def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
@@ -514,7 +479,7 @@ def _layers(state: _Residual, max_len: float):
         return None
     if len(servers) < len(clients):
         return _bfs_back(state, servers, max_len)
-    level, _, end = _bfs(state, clients, max_len)
+    level, end = _bfs(state, clients, max_len)
     return None if end is None else (clients, level, level[end])
 
 
@@ -558,10 +523,3 @@ def blocking_flow_matching(inst: Instance, profile: CapacityProfile, phases: int
     if type(phases) is not int or phases < 1:
         raise ValueError("phases must be >= 1")
     return _phases(inst, profile, phases, _INF)
-
-
-def residual_source_sink_distance(inst: Instance, matching: CapMatching) -> float:
-    """Residual distance from dummy source to dummy sink (inf if no path)."""
-    state = _Residual(inst, matching.profile, matching)
-    level, _, end = _bfs(state, state.free_clients())
-    return _INF if end is None else level[end] + 2

@@ -1,8 +1,10 @@
-"""Ground-truth computations and structural verifiers for small instances.
+"""Ground-truth computations and structural verifiers.
 
-Flow feasibility checks go through networkx so that the oracle side never
-shares code with the hand-written matching engine it is used to check.
-Enumeration-based optima are exact and exhaustive.
+Flow feasibility checks go through networkx, and the augmenting-path checks
+read one O(n + m) residual search of their own on the public dict view of a
+matching, so that the oracle side never shares code with the hand-written
+matching engine it is used to check.  Enumeration-based optima are exact and
+exhaustive, so they are for small instances only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .instance import Instance
-from .matching import AugPath, CapacityProfile, CapMatching
+from .matching import CapacityProfile, CapMatching
 from .solvers import Assignment, InfeasibleError
 
 
@@ -270,65 +272,70 @@ def apply_cost_reducing_path(assignment: Assignment, path) -> Assignment:
     return Assignment(assignment.inst, mapping)
 
 
+def _room_search(inst: Instance, profile: CapacityProfile, mult: dict[tuple[int, int], int]):
+    """One breadth-first search from every server with room over the
+    residual arcs reversed, with every degree recomputed from ``mult``.
+
+    The residual arcs run client -> server while the edge has capacity left
+    and server -> client while it has positive multiplicity.  Returns (free,
+    dist, hop): the unsaturated clients in ascending id, every vertex's
+    residual distance to a server with room (vertices that reach none are
+    absent), and for each vertex at distance >= 1 the next vertex on a
+    shortest way there.  O(n + m).
+    """
+    cdeg = dict.fromkeys(inst.clients, 0)
+    sdeg = dict.fromkeys(inst.servers, 0)
+    for (c, s), x in mult.items():
+        cdeg[c] += x
+        sdeg[s] += x
+    cap = profile.cap()
+    free = [c for c in inst.clients if cdeg[c] < profile.kappa[c]]
+    dist = {s: 0 for s in inst.servers if sdeg[s] < profile.tau[s]}
+    hop: dict[int, int] = {}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        if v in inst.server_adj:  # clients with capacity left on the edge into v
+            for c in inst.server_adj[v]:
+                if c not in dist and mult.get((c, v), 0) < cap:
+                    dist[c], hop[c] = d, v
+                    queue.append(c)
+        else:  # servers holding units of v
+            for s in inst.client_adj[v]:
+                if s not in dist and mult.get((v, s), 0):
+                    dist[s], hop[s] = d, v
+                    queue.append(s)
+    return free, dist, hop
+
+
 def verify_no_short_aug_paths(
     inst: Instance,
     profile: CapacityProfile,
     matching: CapMatching,
     k: int,
 ):
-    """True if no augmenting path of length <= k exists; otherwise a witness
-    AugPath.  Exhaustive layered BFS from every unsaturated client, with
-    saturation recomputed from scratch."""
+    """True if no augmenting path of length <= k exists; otherwise a witness:
+    a shortest augmenting path, as its vertex list, from the least-id
+    unsaturated client that has one within k.  One reverse search from the
+    servers with room (``_room_search``) answers for every client."""
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and >= 1")
-    cdeg = {c: 0 for c in inst.clients}
-    sdeg = {s: 0 for s in inst.servers}
-    for (c, s), x in matching.mult.items():
-        cdeg[c] += x
-        sdeg[s] += x
-    for c in inst.clients:
-        if cdeg[c] < profile.kappa[c]:
-            path = _short_aug_path(inst, profile, matching, sdeg, c, k)
-            if path is not None:
-                return path
-    return True
+    free, dist, hop = _room_search(inst, profile, matching.mult)
+    c = next((c for c in free if dist.get(c, math.inf) <= k), None)
+    if c is None:
+        return True
+    path = [c]
+    while path[-1] in hop:
+        path.append(hop[path[-1]])
+    return path
 
 
-def _short_aug_path(inst, profile, matching, sdeg, c, k) -> AugPath | None:
-    """A shortest augmenting path of length <= k from client c, or None, by
-    BFS over the residual orientation; ``sdeg`` holds the server degrees."""
-    parent: dict[int, int | None] = {c: None}
-    depth = {c: 0}
-    queue = deque([c])
-    while queue:
-        v = queue.popleft()
-        if depth[v] >= k:
-            continue
-        if v in inst.client_adj:
-            for s in inst.client_adj[v]:
-                if s in parent or profile.tau[s] == 0:
-                    continue
-                if matching.mult.get((v, s), 0) >= profile.cap():
-                    continue
-                parent[s] = v
-                depth[s] = depth[v] + 1
-                if sdeg[s] < profile.tau[s]:
-                    path = [s]
-                    u: int | None = v
-                    while u is not None:
-                        path.append(u)
-                        u = parent[u]
-                    path.reverse()
-                    return AugPath(path)
-                queue.append(s)
-        else:
-            for c2 in inst.server_adj[v]:
-                if c2 in parent or matching.mult.get((c2, v), 0) == 0:
-                    continue
-                parent[c2] = v
-                depth[c2] = depth[v] + 1
-                queue.append(c2)
-    return None
+def residual_source_sink_distance(inst: Instance, matching: CapMatching) -> float:
+    """Residual distance from the dummy source to the dummy sink (inf if no
+    path): 2 plus the least distance to room of an unsaturated client."""
+    free, dist, _ = _room_search(inst, matching.profile, matching.mult)
+    return min((dist[c] + 2 for c in free if c in dist), default=math.inf)
 
 
 @dataclass
@@ -360,13 +367,9 @@ def verify_expansion_lemma(
         raise PreconditionError("no client-perfect base matching exists")
     tau_total = sum(tau.values())
     bound = 2 * math.ceil(math.log(max(2, tau_total), alpha)) + 1
-    if bound % 2 == 0:
-        bound += 1
-    for c in inst.clients:
-        if matching.client_saturated(c):
-            continue
-        if _short_aug_path(inst, matching.profile, matching, matching.server_deg, c,
-                           bound) is None:
+    free, dist, _ = _room_search(inst, matching.profile, matching.mult)
+    for c in free:
+        if dist.get(c, math.inf) > bound:
             return ExpansionCounterexample(inst, matching, c, bound)
     return True
 

@@ -31,7 +31,6 @@ from semimatch import (
     split_assignment_seq,
     verify_message_budget,
 )
-from semimatch.matching import residual_source_sink_distance
 from semimatch.oracle import (
     client_perfect_matching_exists,
     levels,
@@ -39,6 +38,7 @@ from semimatch.oracle import (
     opt_backup_enum,
     opt_minmax_unweighted,
     opt_power_sums,
+    residual_source_sink_distance,
     verify_expansion_lemma,
 )
 from semimatch.rounding import support_degrees

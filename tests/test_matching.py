@@ -11,7 +11,6 @@ from semimatch import (
     blocking_flow_matching,
     build_instance,
     eliminate_short_paths,
-    find_augmenting_path,
     generate_instance,
     is_client_perfect,
     solve_sequential,
@@ -24,11 +23,12 @@ from semimatch.matching import (
     _greedy_fill,
     _layers,
     _Residual,
-    residual_source_sink_distance,
 )
 from semimatch.oracle import (
     _flow_value,
+    _room_search,
     client_perfect_matching_exists,
+    residual_source_sink_distance,
     verify_expansion_lemma,
     verify_no_short_aug_paths,
 )
@@ -66,35 +66,47 @@ def enumerate_aug_paths(inst, matching, max_len):
     return found
 
 
+def check_witness(inst, matching, max_len):
+    """The oracle's verdict on augmenting paths of length <= max_len agrees
+    with ``enumerate_aug_paths``: True when there is none, else a shortest
+    one from the least-id unsaturated client that has one."""
+    verdict = verify_no_short_aug_paths(inst, matching.profile, matching, max_len)
+    expected = enumerate_aug_paths(inst, matching, max_len)
+    if not expected:
+        assert verdict is True
+        return
+    start = min(p[0] for p in expected)
+    assert verdict in expected
+    assert verdict[0] == start
+    assert len(verdict) == min(len(p) for p in expected if p[0] == start)
+
+
 class TestFindAugmentingPath:
+    """The witness ``verify_no_short_aug_paths`` gives for a short
+    augmenting path."""
+
     def test_single_edge(self):
         inst = build_instance([0], [1], [(0, 1)])
-        m = CapMatching(inst, CapacityProfile.uniform(inst, 1, 1))
-        path = find_augmenting_path(inst, m, 1)
-        assert path.vertices == [0, 1]
-        assert path.length == 1
+        prof = CapacityProfile.uniform(inst, 1, 1)
+        assert verify_no_short_aug_paths(inst, prof, CapMatching(inst, prof), 1) == [0, 1]
 
     def test_no_escape(self):
         # both clients fight over one unit server; matched client blocks
         inst = build_instance([0, 1], [2], [(0, 2), (1, 2)])
-        m = CapMatching(inst, CapacityProfile.uniform(inst, 1, 1), {(0, 2): 1})
-        assert find_augmenting_path(inst, m, 5) is None
+        prof = CapacityProfile.uniform(inst, 1, 1)
+        m = CapMatching(inst, prof, {(0, 2): 1})
+        assert verify_no_short_aug_paths(inst, prof, m, 5) is True
 
     def test_chain_alternating_path(self, chain):
-        m = CapMatching(chain, CapacityProfile.uniform(chain, 1, 1), {(1, 3): 1})
-        path = find_augmenting_path(chain, m, 3, start_client=0)
-        assert path.vertices == [0, 3, 1, 4]
+        prof = CapacityProfile.uniform(chain, 1, 1)
+        m = CapMatching(chain, prof, {(1, 3): 1})
+        # client 2 has the shorter path [2, 4], but client 0 has the least id
+        assert verify_no_short_aug_paths(chain, prof, m, 3) == [0, 3, 1, 4]
         # oracle cross-check: the full set of simple alternating paths from c0
         all_paths = enumerate_aug_paths(chain, m, 3)
         from_c0 = [p for p in all_paths if p[0] == 0]
         assert [0, 3, 1, 4] in from_c0
         assert min(len(p) for p in from_c0) == 4
-
-    @pytest.mark.parametrize("start_client", [3, 4, 7, -1])
-    def test_start_client_must_be_a_client(self, chain, start_client):
-        m = CapMatching(chain, CapacityProfile.uniform(chain, 1, 1))
-        with pytest.raises(ValueError, match=f"start_client {start_client} "):
-            find_augmenting_path(chain, m, 3, start_client=start_client)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_exhaustive_enumeration(self, seed):
@@ -107,13 +119,7 @@ class TestFindAugmentingPath:
             if rng.random() < 0.5 and not m.client_saturated(c) and not m.server_saturated(s):
                 m.add(c, s, 1)
         for max_len in (1, 3, 5):
-            got = find_augmenting_path(inst, m, max_len)
-            expected = enumerate_aug_paths(inst, m, max_len)
-            if expected:
-                assert got is not None
-                assert got.length == min(len(p) - 1 for p in expected)
-            else:
-                assert got is None
+            check_witness(inst, m, max_len)
 
 
 def two_by_two():
@@ -216,14 +222,13 @@ class TestFullServers:
         state = _Residual(inst, x.profile, x)
         roots = state.free_clients()
         assert roots == [0, 1, 2]
-        level, parent, end = _bfs(state, roots)
+        level, end = _bfs(state, roots)
         assert end is None
-        assert [level[s] for s in inst.servers] == [-1, -1]
-        assert set(parent) == {-1}
+        assert level == [0, 0, 0, -1, -1]
 
     def test_no_augmenting_path(self, full):
         inst, x = full
-        assert find_augmenting_path(inst, x, 9) is None
+        assert verify_no_short_aug_paths(inst, x.profile, x, 9) is True
         assert residual_source_sink_distance(inst, x) == math.inf
 
 
@@ -287,6 +292,15 @@ class TestExpansionLemmaVerifier:
         x = CapMatching(inst, prof, {(0, 2): 1, (1, 3): 1})
         assert verify_expansion_lemma(inst, kappa, tau, 2, x) is True
 
+    def test_counterexample_names_the_first_client_with_no_short_path(self):
+        # the matching's tau is not alpha times the base tau, so client 1,
+        # next only to the full server 4, can reach no room
+        inst = build_instance([0, 1, 2], [3, 4], [(0, 3), (1, 4), (2, 4)])
+        kappa = {c: 1 for c in inst.clients}
+        x = CapMatching(inst, CapacityProfile(kappa, {3: 1, 4: 1}), {(2, 4): 1})
+        verdict = verify_expansion_lemma(inst, kappa, {3: 1, 4: 2}, 2, x)
+        assert (verdict.client, verdict.bound) == (1, 5)
+
     def test_precondition_failure_raises(self):
         from semimatch.oracle import PreconditionError
 
@@ -331,7 +345,8 @@ class TestProfileCoversInstance:
         inst = two_by_two()
         prof = CapacityProfile(kappa, tau)
         for run in (lambda: blocking_flow_matching(inst, prof, 5),
-                    lambda: eliminate_short_paths(inst, prof, 5)):
+                    lambda: eliminate_short_paths(inst, prof, 5),
+                    lambda: CapMatching(inst, prof)):
             with pytest.raises(ValueError, match=message):
                 run()
 
@@ -430,7 +445,7 @@ class TestEngineProperties:
         filled, searched = _Residual(inst, prof), _Residual(inst, prof)
         moved = _greedy_fill(filled)
         roots = searched.free_clients()
-        level, _, end = _bfs(searched, roots)
+        level, end = _bfs(searched, roots)
         assert moved == (end is not None)
         if end is not None:
             _blocking_phase(searched, roots, level, level[end])
@@ -443,7 +458,7 @@ class TestEngineProperties:
         x = CapMatching(inst, prof) if phases == 0 else blocking_flow_matching(inst, prof, phases)
         forward, backward = _Residual(inst, prof, x), _Residual(inst, prof, x)
         roots = forward.free_clients()
-        level, _, end = _bfs(forward, roots, max_len)
+        level, end = _bfs(forward, roots, max_len)
         ends = [s for s in inst.servers if backward.deg[s] < backward.cap[s]]
         layered = _bfs_back(backward, ends, max_len)
         assert (layered is None) == (end is None)
@@ -463,15 +478,18 @@ class TestEngineProperties:
         inst, prof = case
         x = blocking_flow_matching(inst, prof, phases)
         for max_len in (1, 3, 5, 7, 9):
-            expected = enumerate_aug_paths(inst, x, max_len)
-            for start in (None, *inst.clients):
-                paths = [p for p in expected if start in (None, p[0])]
-                got = find_augmenting_path(inst, x, max_len, start_client=start)
-                if not paths:
-                    assert got is None
-                else:
-                    assert got.vertices in paths
-                    assert got.length == min(len(p) - 1 for p in paths)
+            check_witness(inst, x, max_len)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_profiles(), st.integers(0, 3))
+    def test_oracle_distances_match_relaxation(self, case, phases):
+        inst, prof = case
+        x = CapMatching(inst, prof) if phases == 0 else blocking_flow_matching(inst, prof, phases)
+        free, dist, hop = _room_search(inst, prof, x.mult)
+        assert free == [c for c in inst.clients if not x.client_saturated(c)]
+        assert [dist.get(v, math.inf) for v in range(inst.n)] == distance_to_room(inst, x)
+        # each next hop is one step nearer to room
+        assert all(dist[u] == dist[v] - 1 for v, u in hop.items())
 
 
 class TestLayerSide:
