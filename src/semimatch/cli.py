@@ -21,6 +21,7 @@ from .instance import (
     InstanceError,
     generate_instance,
     read_instance,
+    read_json,
     write_instance,
 )
 from .matching import CapacityProfile, CapMatching
@@ -38,12 +39,14 @@ from .solvers import Assignment, InfeasibleError, MultiAssignment
 
 
 def instance_digest(inst: Instance) -> str:
+    # tuples encode as JSON arrays, so the edges go in as they are; the
+    # document holds no cycle to check for
     doc = {
-        "clients": [[c, inst.weight[c]] for c in inst.clients],
-        "servers": list(inst.servers),
-        "edges": [list(e) for e in inst.edges],
+        "clients": [(c, inst.weight[c]) for c in inst.clients],
+        "servers": inst.servers,
+        "edges": inst.edges,
     }
-    blob = json.dumps(doc, separators=(",", ":")).encode()
+    blob = json.dumps(doc, separators=(",", ":"), check_circular=False).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -256,8 +259,7 @@ def _path_bound(param: str) -> int:
 
 def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
-    with open(args.artifact, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.artifact)
     results = []
     ok = True
     for check in args.check:
@@ -353,8 +355,7 @@ _SUITE_KEYS = ("generator", "params", "seed", "algo", "r", "simulate", "oracle")
 
 def cmd_bench(args) -> int:
     if args.suite:
-        with open(args.suite, encoding="utf-8") as fh:
-            suite = json.load(fh)
+        suite = read_json(args.suite)
         if not isinstance(suite, list) or not all(isinstance(e, dict) for e in suite):
             raise ValueError("suite must be a JSON list of objects")
     elif args.doubling:

@@ -15,6 +15,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -59,6 +60,11 @@ class Instance:
     server_edges: array = field(default_factory=lambda: array("i"), repr=False)
 
     def __post_init__(self) -> None:
+        self._validate()
+        self._layout()
+
+    def _validate(self) -> None:
+        """Check the parts and sort ``clients``, ``servers`` and ``edges``."""
         cset, sset = set(self.clients), set(self.servers)
         for kind, ids, unique in (("client", self.clients, cset), ("server", self.servers, sset)):
             if len(ids) != len(unique):
@@ -71,30 +77,31 @@ class Instance:
             raise InstanceError("ids must be dense integers in [0, n)")
         if len(self.edges) != len(set(self.edges)):
             raise InstanceError("duplicate edges are not allowed")
+        if not (cset.issuperset(map(itemgetter(0), self.edges))
+                and sset.issuperset(map(itemgetter(1), self.edges))):
+            for c, s in self.edges:  # name the first edge with a bad end
+                if c not in cset:
+                    raise InstanceError(f"edge ({c}, {s}): {c} is not a client")
+                if s not in sset:
+                    raise InstanceError(f"edge ({c}, {s}): {s} is not a server")
+        self._check_weights()
         self.clients = tuple(sorted(self.clients))
         self.servers = tuple(sorted(self.servers))
+        self.edges = tuple(sorted(self.edges))
+
+    def _layout(self) -> None:
+        """Fill the adjacency and the edge-id layout from valid, sorted parts."""
         # sorted edges fill every adjacency list in ascending id order
         ca: dict[int, list[int]] = {c: [] for c in self.clients}
         sa: dict[int, list[int]] = {s: [] for s in self.servers}
         se: dict[int, list[int]] = {s: [] for s in self.servers}
-        try:
-            edges = tuple(sorted(self.edges))
-            for e, (c, s) in enumerate(edges):
-                ca[c].append(s)
-                sa[s].append(c)
-                se[s].append(e)
-        except (KeyError, TypeError):  # an end that is not a client or server
-            for c, s in self.edges:
-                if c not in cset:
-                    raise InstanceError(f"edge ({c}, {s}): {c} is not a client") from None
-                if s not in sset:
-                    raise InstanceError(f"edge ({c}, {s}): {s} is not a server") from None
-            raise
-        self._check_weights()
-        self.edges = edges
+        for e, (c, s) in enumerate(self.edges):
+            ca[c].append(s)
+            sa[s].append(c)
+            se[s].append(e)
         self.client_adj = {c: tuple(ca[c]) for c in self.clients}
         self.server_adj = {s: tuple(sa[s]) for s in self.servers}
-        start = array("i", [0]) * n
+        start = array("i", [0]) * self.n
         first = 0
         for c in self.clients:
             start[c] = first
@@ -138,9 +145,8 @@ class Instance:
         return all(self.weight[c] == 1 for c in self.clients)
 
     def is_normalized(self) -> bool:
-        return all(
-            w & (w - 1) == 0 and w <= self.n for w in self.weight.values()
-        )
+        n = self.n
+        return all(w & (w - 1) == 0 and w <= n for w in self.weight.values())
 
     def degree(self, v: int) -> int:
         if v in self.client_adj:
@@ -179,7 +185,7 @@ def build_instance(
     clients = tuple(clients)
     if weights is None:
         weights = {c: 1 for c in clients}
-    return Instance(clients, tuple(servers), tuple(tuple(e) for e in edges), dict(weights))
+    return Instance(clients, tuple(servers), tuple(map(tuple, edges)), dict(weights))
 
 
 def normalize_weights(inst: Instance) -> Instance:
@@ -234,10 +240,22 @@ def weight_classes(inst: Instance) -> list[WeightClass]:
         clients = by_weight[w]
         base_id = (*clients, *sorted({s for c in clients for s in inst.client_adj[c]}))
         sub_id = {v: i for i, v in enumerate(base_id)}
-        edges = [(sub_id[c], sub_id[s]) for c in clients for s in inst.client_adj[c]]
-        sub = build_instance(range(len(clients)), range(len(clients), len(base_id)), edges)
+        # ascending on both sides, so the edges come out sorted
+        edges = tuple((sub_id[c], sub_id[s]) for c in clients for s in inst.client_adj[c])
+        nc = len(clients)
+        sub = _laid_out(tuple(range(nc)), tuple(range(nc, len(base_id))), edges,
+                        dict.fromkeys(range(nc), 1))
         classes.append(WeightClass(w, sub, base_id))
     return classes
+
+
+def _laid_out(clients, servers, edges, weight) -> Instance:
+    """The Instance of parts cut from a validated one, already valid and
+    sorted: the layout step of construction without the validation."""
+    inst = object.__new__(Instance)
+    inst.clients, inst.servers, inst.edges, inst.weight = clients, servers, edges, weight
+    inst._layout()
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +360,8 @@ def _random_bipartite(rng: random.Random, nc: int, ns: int, p: float) -> Instanc
 # ---------------------------------------------------------------------------
 
 _ALLOWED_KEYS = {"clients", "servers", "edges"}
+# the fields of each entry of the lists that hold objects
+_ENTRY_FIELDS = {"clients": ("id", "weight"), "servers": ("id",)}
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -356,13 +376,57 @@ def write_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
-def read_instance(path) -> Instance:
-    """Read the JSON instance format, with field-level diagnostics."""
+def read_json(path):
+    """The JSON value in file ``path``.  ``InstanceError`` names the file
+    when it is not JSON or nests too deeply to decode."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise InstanceError(f"{path}: JSON nested too deeply to decode") from None
+
+
+def _int_columns(entries: list, kind: type, fields: tuple) -> list[list[int]] | None:
+    """The column of each field over ``entries`` when every entry is a
+    ``kind`` (dict or list) of exactly ``fields`` and every value a plain
+    int, else None.  C-level passes only; type() rather than isinstance(),
+    since JSON true is a bool and a bool is an int."""
+    if not (set(map(type, entries)) <= {kind} and set(map(len, entries)) <= {len(fields)}):
+        return None
+    try:
+        columns = [list(map(itemgetter(f), entries)) for f in fields]
+    except KeyError:  # an object with another key in place of a field
+        return None
+    return columns if all(set(map(type, col)) <= {int} for col in columns) else None
+
+
+def _first_bad_entry(path, doc: dict) -> InstanceError:
+    """The field-level error of the first malformed entry of ``doc``."""
+    for key, fields in _ENTRY_FIELDS.items():
+        need = " and ".join(repr(f) for f in fields)
+        for i, entry in enumerate(doc[key]):
+            if not isinstance(entry, dict) or any(f not in entry for f in fields):
+                return InstanceError(f"{path}: {key}[{i}] must have {need}")
+            unknown = sorted(set(entry) - set(fields))
+            if unknown:
+                return InstanceError(f"{path}: {key}[{i}]: unknown field {unknown[0]!r}")
+            if type(entry["id"]) is not int:
+                return InstanceError(f"{path}: {key}[{i}].id must be an integer")
+            if "weight" in fields and (type(entry["weight"]) is not int or entry["weight"] <= 0):
+                return InstanceError(f"{path}: {key}[{i}].weight must be a positive integer")
+    for i, e in enumerate(doc["edges"]):
+        if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
+            return InstanceError(
+                f"{path}: edges[{i}] must be a [client, server] pair of integer ids"
+            )
+    raise AssertionError("no malformed entry")
+
+
+def read_instance(path) -> Instance:
+    """Read the JSON instance format, with field-level diagnostics."""
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InstanceError(f"{path}: top-level value must be an object")
     unknown = set(doc) - _ALLOWED_KEYS
@@ -375,32 +439,14 @@ def read_instance(path) -> Instance:
             raise InstanceError(f"{path}: {key!r} must be a list")
     if not doc["clients"]:
         raise InstanceError(f"{path}: 'clients' must not be empty")
-    # type() rather than isinstance(): JSON true is a bool, and a bool is an int
-    clients, weights = [], {}
-    for i, entry in enumerate(doc["clients"]):
-        if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
-            raise InstanceError(f"{path}: clients[{i}] must have 'id' and 'weight'")
-        if type(entry["id"]) is not int:
-            raise InstanceError(f"{path}: clients[{i}].id must be an integer")
-        if type(entry["weight"]) is not int or entry["weight"] <= 0:
-            raise InstanceError(f"{path}: clients[{i}].weight must be a positive integer")
-        clients.append(entry["id"])
-        weights[entry["id"]] = entry["weight"]
-    servers = []
-    for i, entry in enumerate(doc["servers"]):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise InstanceError(f"{path}: servers[{i}] must have 'id'")
-        if type(entry["id"]) is not int:
-            raise InstanceError(f"{path}: servers[{i}].id must be an integer")
-        servers.append(entry["id"])
-    edges = []
-    for i, e in enumerate(doc["edges"]):
-        if not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e):
-            raise InstanceError(
-                f"{path}: edges[{i}] must be a [client, server] pair of integer ids"
-            )
-        edges.append((e[0], e[1]))
+    # checked in C-level passes; the per-entry walk only names a bad entry
+    clients = _int_columns(doc["clients"], dict, _ENTRY_FIELDS["clients"])
+    servers = _int_columns(doc["servers"], dict, _ENTRY_FIELDS["servers"])
+    edges = _int_columns(doc["edges"], list, (0, 1))
+    if clients is None or servers is None or edges is None or min(clients[1]) <= 0:
+        raise _first_bad_entry(path, doc)
+    ids, weights = clients
     try:
-        return build_instance(clients, servers, edges, weights)
+        return build_instance(ids, servers[0], zip(*edges), dict(zip(ids, weights)))
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from exc

@@ -14,8 +14,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .instance import Instance
 from .matching import CapacityProfile, CapMatching
 from .solvers import Assignment, InfeasibleError
@@ -36,6 +34,8 @@ class EnumerationTooLarge(Exception):
 
 def _flow_value(inst: Instance, kappa: dict[int, int], tau: dict[int, int],
                 edge_cap: int | None = None) -> int:
+    import networkx as nx  # here, so that a CLI call that checks no flow does not import it
+
     g = nx.DiGraph()
     for c in inst.clients:
         g.add_edge("src", ("c", c), capacity=kappa[c])

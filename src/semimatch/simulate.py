@@ -95,9 +95,27 @@ class SimTrace:
                    doc["phases"], doc["simulatedMessages"])
 
     def write(self, path) -> None:
+        """Write ``json.dumps(self.to_json(), indent=1)`` and a newline, in
+        one string: the head through ``json.dumps``, then each message, the
+        ``emit`` record of ints, from ``_MESSAGE_TEXT``."""
+        doc = self.to_json()
+        messages = ",\n".join([_MESSAGE_TEXT % (msg["round"], *msg["edge"], msg["bits"])
+                                for msg in doc.pop("simulatedMessages")])
+        head = json.dumps(doc, indent=1)[:-2]  # without its closing "\n}"
+        tail = f"[\n{messages}\n ]" if messages else "[]"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{head},\n "simulatedMessages": {tail}\n}}\n')
+
+
+# one message of a trace as json.dumps(..., indent=1) lays it out, two levels deep
+_MESSAGE_TEXT = """  {
+   "round": %d,
+   "edge": [
+    %d,
+    %d
+   ],
+   "bits": %d
+  }"""
 
 
 # key -> exact type of each field of a trace file's objects (ints exclude bools)

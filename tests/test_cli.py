@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import semimatch
 from semimatch import (
     build_instance, generate_instance, matching, oracle, solvers, write_instance,
 )
@@ -106,6 +110,15 @@ class TestGen:
         assert not out.exists()
 
 
+def test_cli_import_leaves_networkx_out():
+    """Only the flow oracle uses networkx, and it imports it when called."""
+    src = os.path.dirname(os.path.dirname(semimatch.__file__))
+    check = "import sys, semimatch.cli; sys.exit('networkx' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestSolveExitCodes:
     def test_success(self, unit_file, capsys):
         code, stdout, _ = run_cli(capsys, "solve", unit_file, "--algo", "seq")
@@ -157,6 +170,36 @@ class TestRejectedInput:
         path = tmp_path / "repeat.json"
         path.write_text(json.dumps(doc))
         code, stdout, err = run_cli(capsys, "solve", str(path), *argv)
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err) == {"error": "InstanceError", "detail": f"{path}: {detail}"}
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "{deep}", "--algo", "seq"),
+        ("verify", "{unit}", "{deep}", "--check", "budget"),
+        ("bench", "--suite", "{deep}", "-o", "{out}"),
+    ])
+    def test_deeply_nested_json(self, unit_file, tmp_path, capsys, argv):
+        deep, out = tmp_path / "deep.json", tmp_path / "bench.csv"
+        deep.write_text("[" * 200_000)
+        code, stdout, err = run_cli(capsys, *[a.format(deep=deep, unit=unit_file, out=out)
+                                              for a in argv])
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err) == {"error": "InstanceError",
+                                   "detail": f"{deep}: JSON nested too deeply to decode"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,detail", [
+        ({"clients": [{"id": 0, "weight": 1, "wieght": 5}], "servers": [{"id": 1}],
+          "edges": [[0, 1]]}, "clients[0]: unknown field 'wieght'"),
+        ({"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1, "weight": 3}],
+          "edges": [[0, 1]]}, "servers[0]: unknown field 'weight'"),
+    ])
+    def test_unknown_entry_field(self, tmp_path, capsys, doc, detail):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "--algo", "seq")
         assert code == 1
         assert stdout == ""
         assert json.loads(err) == {"error": "InstanceError", "detail": f"{path}: {detail}"}

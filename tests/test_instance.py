@@ -167,6 +167,14 @@ class TestWeightClasses:
         assert cls.base_id == (0, 1, 2)
         assert cls.instance.edges == ((0, 2), (1, 2))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sub_instance_equals_a_fresh_build(self, seed):
+        # a class's sub-instance skips validation; it must still be the
+        # Instance a validating build makes of the same parts
+        for cls in weight_classes(random_weighted(seed, max_weight=50)):
+            sub = cls.instance
+            assert sub == build_instance(sub.clients, sub.servers, sub.edges)
+
     def test_rejects_unnormalized(self):
         inst = build_instance([0], [1], [(0, 1)], {0: 3})
         with pytest.raises(InstanceError, match="normalize"):
@@ -339,6 +347,36 @@ class TestFileIO:
         path.write_text(json.dumps({**good, **doc}))
         with pytest.raises(InstanceError, match=re.escape(field)):
             read_instance(path)
+
+    @pytest.mark.parametrize("doc,detail", [
+        # the first bad entry follows good ones
+        ({"servers": [{"id": 1}, {"id": 2}, {"id": True}]}, "servers[2].id must be an integer"),
+        ({"edges": [[0, 1], [0, 2], [0, 1, 2], [0, 3]]},
+         "edges[2] must be a [client, server] pair of integer ids"),
+        ({"edges": [[0, 1], [0, 2], [0, 3.0]]},
+         "edges[2] must be a [client, server] pair of integer ids"),
+        ({"clients": [{"id": 0, "weight": 1}, {"id": 1, "weight": 0}]},
+         "clients[1].weight must be a positive integer"),
+        ({"clients": [{"id": 0, "weight": 1}, {"id": 1}]}, "clients[1] must have 'id' and 'weight'"),
+        ({"servers": [{"id": 2}, [3]]}, "servers[1] must have 'id'"),
+        # an entry key that is not a field
+        ({"clients": [{"id": 0, "weight": 1, "wieght": 5}]}, "clients[0]: unknown field 'wieght'"),
+        ({"servers": [{"id": 1}, {"id": 2, "weight": 3}]}, "servers[1]: unknown field 'weight'"),
+    ])
+    def test_bad_entry_message(self, tmp_path, doc, detail):
+        good = {"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1}], "edges": [[0, 1]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**good, **doc}))
+        with pytest.raises(InstanceError) as info:
+            read_instance(path)
+        assert str(info.value) == f"{path}: {detail}"
+
+    def test_deep_nesting_named(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(InstanceError) as info:
+            read_instance(path)
+        assert str(info.value) == f"{path}: JSON nested too deeply to decode"
 
     @pytest.mark.parametrize("doc,detail", [
         ({"servers": [{"id": 1}, {"id": 1}]}, "server id 1 is repeated"),

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semimatch import (
     round_budget,
@@ -139,6 +141,30 @@ class TestTraceSerialization:
         }
         assert doc["algorithm"] == "congest-unweighted"
         assert doc["chargedRounds"] == sum(p["rounds"] for p in doc["phases"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        algorithm=st.text(max_size=8),
+        sizes=st.tuples(st.integers(0, 2**80), st.integers(0, 2**80)),
+        phases=st.lists(st.tuples(
+            st.one_of(st.text(max_size=8), st.sampled_from(
+                ['say "hi"', "back\\slash", "tab\tand\nnewline", "é ☃ 𝄞", ""])),
+            st.integers(-2**80, 2**80)), max_size=4),
+        messages=st.lists(st.tuples(*[st.integers(-2**80, 2**80)] * 4), max_size=6),
+    )
+    @example(algorithm="", sizes=(0, 0), phases=[], messages=[])
+    @example(algorithm="local-weighted", sizes=(5, 9), phases=[("announce", 0)], messages=[])
+    @example(algorithm="congest-weighted", sizes=(5, 5), phases=[], messages=[(3, 0, 4, 12)])
+    def test_write_is_json_dumps_indent_1(self, tmp_path_factory, algorithm, sizes, phases,
+                                          messages):
+        trace = SimTrace(algorithm, *sizes)
+        for label, rounds in phases:
+            trace.charge(label, rounds)
+        for round_index, c, s, bits in messages:
+            trace.emit(round_index, (c, s), bits, None)
+        path = tmp_path_factory.getbasetemp() / "written-trace.json"
+        trace.write(path)
+        assert path.read_bytes() == (json.dumps(trace.to_json(), indent=1) + "\n").encode()
 
     def test_algorithm_names_stable(self):
         assert ALGORITHMS == (
