@@ -5,12 +5,13 @@ capacities kappa, server capacities tau, and an optional uniform edge cap.
 The engine works on the residual orientation: client -> server while the edge
 has capacity left, server -> client while the edge has positive multiplicity.
 
-``CapMatching`` is the public result: dicts keyed by edge (c, s) and by
-vertex, which the oracles, the dumps, the rounding and the solvers read.
-The engine itself runs on ``_Residual``, flat lists indexed by the
-instance's edge ids and vertex ids (see ``Instance``): the multiplicity of
-every edge, and the degree and capacity of every vertex.  It is built from
-these pieces:
+``CapMatching`` is the one matching type, held on the instance's edge ids
+and vertex ids (see ``Instance``): ``edge_mult[e]`` is the multiplicity of
+edge id e, ``deg[v]`` the matched degree of vertex v and ``cap[v]`` its
+capacity.  The engine and the solvers read and write these flat lists;
+``mult``, ``client_deg`` and ``server_deg`` are read-only views keyed by
+edge (c, s) and by vertex, built when read, for the oracles and the dumps.
+The engine is built from these pieces:
 
 * ``_greedy_fill``, the first phase.  From the empty matching every shortest
   augmenting path is a single edge, so blocking the length-1 layered graph
@@ -33,9 +34,8 @@ these pieces:
 * ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Its
   first phase is the greedy fill; each later phase is layered by
   ``_layers`` and blocked at the current shortest augmenting-path length,
-  so that length strictly increases per phase.  Its state lives in one
-  ``_Residual`` for the whole loop and becomes a ``CapMatching`` once, at
-  the end.
+  so that length strictly increases per phase.  It runs on one empty
+  ``CapMatching`` and returns it.
 
 The entry points are thin: ``eliminate_short_paths`` runs phases until no
 augmenting path of length <= k remains, and ``blocking_flow_matching`` runs
@@ -48,8 +48,9 @@ in ascending id order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
+from types import MappingProxyType
 
 from .instance import Instance
 
@@ -98,139 +99,119 @@ class CapacityProfile:
         )
 
 
-def _capacities(inst: Instance, profile: CapacityProfile) -> list[int]:
-    """The capacity of every vertex by id: kappa for a client, tau for a
-    server.  A profile whose kappa and tau do not name exactly the
-    instance's clients and servers is rejected."""
-    cap = [0] * inst.n
-    for name, kind, ids, given in (("kappa", "client", inst.client_adj, profile.kappa),
-                                   ("tau", "server", inst.server_adj, profile.tau)):
-        try:
-            for v in ids:
-                cap[v] = given[v]
-        except KeyError:
-            raise ValueError(f"{name} has no entry for {kind} {v}") from None
-        if len(given) != len(ids):  # every id is covered, so some key is not one
-            extra = next(v for v in given if v not in ids)
-            raise ValueError(f"{name} has an entry for {extra!r}, "
-                             f"which is not a {kind} of the instance")
-    return cap
-
-
-@dataclass
 class CapMatching:
-    """Edge multiplicities under a CapacityProfile, with cached degrees.
+    """Edge multiplicities on ``inst`` under a CapacityProfile.
 
-    The public view of a matching: ``mult`` maps each edge (c, s) of
-    positive multiplicity to it, ``client_deg`` and ``server_deg`` give every
-    vertex's matched degree.  A key that is not an edge of ``inst`` is
-    rejected, and so is a profile that does not cover ``inst``
-    (``_capacities``).
-    """
-
-    inst: Instance
-    profile: CapacityProfile
-    mult: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _capacities(self.inst, self.profile)  # rejects a profile not covering inst
-        self.client_deg = {c: 0 for c in self.inst.clients}
-        self.server_deg = {s: 0 for s in self.inst.servers}
-        for (c, s), x in list(self.mult.items()):
-            self._check_edge(c, s)
-            if x == 0:
-                del self.mult[(c, s)]
-                continue
-            self.client_deg[c] += x
-            self.server_deg[s] += x
-        self.check_feasible()
-
-    @classmethod
-    def _built(cls, inst: Instance, profile: CapacityProfile, mult: dict[tuple[int, int], int],
-               client_deg: dict[int, int], server_deg: dict[int, int]) -> "CapMatching":
-        """The view of a matching the engine built, feasible on instance
-        edges by construction, so the checks of ``__init__`` are skipped."""
-        x = cls.__new__(cls)
-        x.inst, x.profile, x.mult = inst, profile, mult
-        x.client_deg, x.server_deg = client_deg, server_deg
-        return x
-
-    def _check_edge(self, c: int, s: int) -> None:
-        if self.inst.edge_id(c, s) is None:
-            raise ValueError(f"({c}, {s}) is not an edge of the instance")
-
-    def client_saturated(self, c: int) -> bool:
-        return self.client_deg[c] >= self.profile.kappa[c]
-
-    def server_saturated(self, s: int) -> bool:
-        return self.server_deg[s] >= self.profile.tau[s]
-
-    def add(self, c: int, s: int, amount: int) -> None:
-        self._check_edge(c, s)
-        x = self.mult.get((c, s), 0) + amount
-        if x < 0:
-            raise ValueError(f"negative multiplicity on edge ({c}, {s})")
-        if x:
-            self.mult[(c, s)] = x
-        else:
-            self.mult.pop((c, s), None)
-        self.client_deg[c] += amount
-        self.server_deg[s] += amount
-
-    def check_feasible(self) -> None:
-        for c, d in self.client_deg.items():
-            if d > self.profile.kappa[c]:
-                raise ValueError(f"client {c} over capacity: {d} > {self.profile.kappa[c]}")
-        for s, d in self.server_deg.items():
-            if d > self.profile.tau[s]:
-                raise ValueError(f"server {s} over capacity: {d} > {self.profile.tau[s]}")
-        cap = self.profile.cap()
-        for e, x in self.mult.items():
-            if x > cap:
-                raise ValueError(f"edge {e} over capacity: {x} > {cap}")
-
-
-def is_client_perfect(inst: Instance, matching: CapMatching) -> bool:
-    return all(matching.client_deg[c] == matching.profile.kappa[c] for c in inst.clients)
-
-
-class _Residual:
-    """The engine's working state on ``inst``'s ids: ``mult[e]`` is the
+    The state is flat, on ``inst``'s ids: ``edge_mult[e]`` is the
     multiplicity of edge id e, ``deg[v]`` the matched degree of vertex v and
     ``cap[v]`` its capacity (kappa for a client, tau for a server);
-    ``edge_cap`` caps every edge (inf when unbounded).  Starts from
-    ``matching`` when given, else empty.  A profile whose kappa and tau do
-    not cover exactly the instance's clients and servers is rejected."""
+    ``edge_cap`` caps every edge (inf when unbounded).  ``mult`` (edge
+    (c, s) -> positive multiplicity), ``client_deg`` and ``server_deg`` are
+    read-only views of it, built when read.
 
-    __slots__ = ("inst", "profile", "edge_cap", "mult", "deg", "cap")
+    The constructor ``add``s each entry of ``mult``, a dict keyed by edge
+    (c, s), so it rejects what ``add`` rejects: a key that is not an edge of
+    ``inst``, a multiplicity that is not a plain int (a bool or a float
+    included) or is negative, and any capacity exceeded.  A profile whose
+    kappa and tau do not name exactly the instance's clients and servers is
+    rejected too.  Two matchings are equal when their instance, profile and
+    multiplicities are.
+    """
+
+    __slots__ = ("inst", "profile", "edge_cap", "edge_mult", "deg", "cap")
 
     def __init__(self, inst: Instance, profile: CapacityProfile,
-                 matching: CapMatching | None = None) -> None:
+                 mult: dict[tuple[int, int], int] | None = None) -> None:
         self.inst, self.profile, self.edge_cap = inst, profile, profile.cap()
-        self.cap = _capacities(inst, profile)
-        self.mult = [0] * inst.m
+        self.cap = cap = [0] * inst.n
+        for name, kind, ids, given in (("kappa", "client", inst.client_adj, profile.kappa),
+                                       ("tau", "server", inst.server_adj, profile.tau)):
+            try:
+                for v in ids:
+                    cap[v] = given[v]
+            except KeyError:
+                raise ValueError(f"{name} has no entry for {kind} {v}") from None
+            if len(given) != len(ids):  # every id is covered, so some key is not one
+                extra = next(v for v in given if v not in ids)
+                raise ValueError(f"{name} has an entry for {extra!r}, "
+                                 f"which is not a {kind} of the instance")
+        self.edge_mult = [0] * inst.m
         self.deg = [0] * inst.n
-        if matching is not None:
-            for (c, s), x in matching.mult.items():
-                self.mult[inst.edge_id(c, s)] = x
-            for degrees in (matching.client_deg, matching.server_deg):
-                for v, d in degrees.items():
-                    self.deg[v] = d
+        for (c, s), units in (mult or {}).items():
+            self.add(c, s, units)
+
+    @property
+    def mult(self) -> MappingProxyType:
+        edge_mult = self.edge_mult
+        return MappingProxyType(dict(zip(compress(self.inst.edges, edge_mult),
+                                         filter(None, edge_mult))))
+
+    @property
+    def client_deg(self) -> MappingProxyType:
+        deg = self.deg
+        return MappingProxyType({c: deg[c] for c in self.inst.clients})
+
+    @property
+    def server_deg(self) -> MappingProxyType:
+        deg = self.deg
+        return MappingProxyType({s: deg[s] for s in self.inst.servers})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CapMatching):
+            return NotImplemented
+        return ((self.inst, self.profile, self.edge_mult)
+                == (other.inst, other.profile, other.edge_mult))
 
     def free_clients(self) -> list[int]:
+        """The unsaturated clients, ascending."""
         deg, cap = self.deg, self.cap
         return [c for c in self.inst.clients if deg[c] < cap[c]]
 
-    def matching(self) -> CapMatching:
-        """The public dict view of this state."""
-        inst, mult, deg = self.inst, self.mult, self.deg
-        return CapMatching._built(inst, self.profile,
-                                  dict(zip(compress(inst.edges, mult), filter(None, mult))),
-                                  {c: deg[c] for c in inst.clients},
-                                  {s: deg[s] for s in inst.servers})
+    def client_saturated(self, v: int) -> bool:
+        return self.deg[v] >= self.cap[v]
+
+    server_saturated = client_saturated  # one degree and capacity list for both sides
+
+    def add(self, c: int, s: int, amount: int) -> None:
+        """Add ``amount`` (negative to remove) to edge (c, s).  An amount
+        that is not a plain int, and a result that is negative or over a
+        capacity, raise ValueError and leave the matching as it was."""
+        e = self.inst.edge_id(c, s)
+        if e is None:
+            raise ValueError(f"({c}, {s}) is not an edge of the instance")
+        if type(amount) is not int:
+            raise ValueError(f"multiplicity {amount!r} on edge ({c}, {s}) is not an int")
+        deg, cap = self.deg, self.cap
+        x = self.edge_mult[e] + amount
+        if x < 0:
+            raise ValueError(f"negative multiplicity on edge ({c}, {s})")
+        if x > self.edge_cap:
+            raise ValueError(f"edge ({c}, {s}) over capacity: {x} > {self.edge_cap}")
+        for kind, v in (("client", c), ("server", s)):
+            if deg[v] + amount > cap[v]:
+                raise ValueError(f"{kind} {v} over capacity: {deg[v] + amount} > {cap[v]}")
+        self.edge_mult[e] = x
+        deg[c] += amount
+        deg[s] += amount
+
+    def check_feasible(self) -> None:
+        deg, cap = self.deg, self.cap
+        for kind, ids in (("client", self.inst.clients), ("server", self.inst.servers)):
+            for v in ids:
+                if deg[v] > cap[v]:
+                    raise ValueError(f"{kind} {v} over capacity: {deg[v]} > {cap[v]}")
+        for e, x in enumerate(self.edge_mult):
+            if x > self.edge_cap:
+                raise ValueError(f"edge {self.inst.edges[e]} over capacity: "
+                                 f"{x} > {self.edge_cap}")
 
 
-def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
+def is_client_perfect(inst: Instance, matching: CapMatching) -> bool:
+    deg, cap = matching.deg, matching.cap
+    return all(deg[c] == cap[c] for c in inst.clients)
+
+
+def _bfs(state: CapMatching, roots: list[int], max_len: float = _INF):
     """Layer the residual graph from ``roots`` (unsaturated clients).
 
     Returns (level, end): the distance of every labelled vertex by vertex id
@@ -244,7 +225,7 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     room, no path can end: only the roots are labelled and ``end`` is None.
     """
     inst = state.inst
-    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
+    mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj = inst.client_adj, inst.server_adj
     edge_start, server_edges = inst.edge_start, inst.server_edges
     level = [-1] * inst.n
@@ -290,7 +271,7 @@ def _bfs(state: _Residual, roots: list[int], max_len: float = _INF):
     return level, end
 
 
-def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
+def _blocking_phase(state: CapMatching, roots: list[int], level: list[int],
                     target_len: int) -> None:
     """Saturate the level graph that ``_layers`` built for ``roots``: push flow
     along level-increasing residual paths of exactly ``target_len`` edges
@@ -304,7 +285,7 @@ def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
     server has room, and it ends the path.
     """
     inst = state.inst
-    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
+    mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj = inst.client_adj, inst.server_adj
     edge_start, server_edges = inst.edge_start, inst.server_edges
     ptr = [0] * inst.n
@@ -363,7 +344,7 @@ def _blocking_phase(state: _Residual, roots: list[int], level: list[int],
                 open_ends -= 1
 
 
-def _greedy_fill(state: _Residual) -> bool:
+def _greedy_fill(state: CapMatching) -> bool:
     """The first phase, on the empty ``state``: block the length-1 layered
     graph, exactly as ``_blocking_phase`` does from every client.
 
@@ -375,7 +356,7 @@ def _greedy_fill(state: _Residual) -> bool:
     length exists.
     """
     inst = state.inst
-    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
+    mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj, edge_start = inst.client_adj, inst.server_adj, inst.edge_start
     # servers with room that some client reaches: once none is left, stop
     open_ends = sum(1 for s in inst.servers if cap[s] and server_adj[s])
@@ -402,7 +383,7 @@ def _greedy_fill(state: _Residual) -> bool:
     return moved
 
 
-def _bfs_back(state: _Residual, ends: list[int], max_len: float = _INF):
+def _bfs_back(state: CapMatching, ends: list[int], max_len: float = _INF):
     """Layer the residual graph backward from ``ends`` (servers with room).
 
     Labels every vertex it reaches with its residual distance to the nearest
@@ -425,7 +406,7 @@ def _bfs_back(state: _Residual, ends: list[int], max_len: float = _INF):
     phase pushes the same paths in the same order.
     """
     inst = state.inst
-    mult, deg, cap, edge_cap = state.mult, state.deg, state.cap, state.edge_cap
+    mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj = inst.client_adj, inst.server_adj
     edge_start, server_edges = inst.edge_start, inst.server_edges
     dist = [-1] * inst.n
@@ -462,7 +443,7 @@ def _bfs_back(state: _Residual, ends: list[int], max_len: float = _INF):
     return roots, dist, stop
 
 
-def _layers(state: _Residual, max_len: float):
+def _layers(state: CapMatching, max_len: float):
     """Layer one phase from whichever side has fewer free vertices.
 
     With no more unsaturated clients than servers with room, ``_bfs`` runs
@@ -490,17 +471,13 @@ def _phases(inst: Instance, profile: CapacityProfile, max_phases: float,
     left.  ``max_phases`` and ``max_len`` are at least 1, so the greedy fill
     is always phase 1; each later phase is layered by ``_layers``, from the
     side with fewer free vertices, and blocked by ``_blocking_phase``."""
-    state = _Residual(inst, profile)
+    state = CapMatching(inst, profile)
     phase = 1
-    if not _greedy_fill(state):
-        return state.matching()
-    while phase < max_phases:
-        layered = _layers(state, max_len)
-        if layered is None:
-            break
-        _blocking_phase(state, *layered)
-        phase += 1
-    return state.matching()
+    if _greedy_fill(state):
+        while phase < max_phases and (layered := _layers(state, max_len)) is not None:
+            _blocking_phase(state, *layered)
+            phase += 1
+    return state
 
 
 def eliminate_short_paths(inst: Instance, profile: CapacityProfile, k: int) -> CapMatching:

@@ -82,7 +82,8 @@ class SimTrace:
     @classmethod
     def from_json(cls, doc) -> "SimTrace":
         """The trace ``to_json`` wrote, checked field by field in one pass;
-        ``InstanceError`` names the first field of the wrong shape."""
+        ``InstanceError`` names the first field of the wrong shape, missing
+        or unknown."""
         _check_fields("trace", doc, _TRACE_FIELDS)
         for i, phase in enumerate(doc["phases"]):
             _check_fields(f"trace phases[{i}]", phase, _PHASE_FIELDS)
@@ -134,6 +135,9 @@ def _check_fields(where: str, obj, fields: dict) -> None:
         if type(obj[key]) is not kind:
             raise InstanceError(f"{where}.{key} must be of type {kind.__name__}, "
                                 f"got {obj[key]!r}")
+    if len(obj) > len(fields):  # every field is present, so some key is not one
+        extra = next(key for key in obj if key not in fields)
+        raise InstanceError(f"{where}: unknown field {extra!r}")
 
 
 def _congest_charge(n: int) -> int:

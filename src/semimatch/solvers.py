@@ -16,11 +16,13 @@
   client capacity r and simple (multiplicity-1) matchings.
 
 Both schedules, ``unit_schedule`` and ``split_schedule``, are lazy
-(B, matching) generators; ``_until_client_perfect`` stops one at its first
-client-perfect budget, past which no output changes.  Every solver stops
-there.  Draining a schedule (``dict(split_schedule(inst))``) is the one way
-to get every budget's matching, as ``--dump-matchings`` writes them;
-simulated traces charge the full schedule.
+(B, CapMatching) generators; the solvers read each matching's flat lists on
+edge and vertex ids, never its (c, s)-keyed views.  ``_until_client_perfect``
+stops a schedule at its first client-perfect budget, past which no output
+changes.  Every solver stops there.  Draining a schedule
+(``dict(split_schedule(inst))``) is the one way to get every budget's
+matching, as ``--dump-matchings`` writes them; simulated traces charge the
+full schedule.
 
 The per-weight-class reduction (``_per_class``) solves each class of
 ``weight_classes`` on its unit-weight sub-instance and maps the result back
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress
 
 from .instance import Instance, WeightClass, weight_classes
 from .matching import (
@@ -209,10 +211,13 @@ def _adopt(inst: Instance, budgets, r: int) -> dict[int, tuple[int, ...]]:
     """Client -> its matched servers, ascending, at the smallest budget at
     which it is matched r times."""
     chosen: dict[int, tuple[int, ...]] = {}
+    client_adj, edge_start = inst.client_adj, inst.edge_start
     for x in _until_client_perfect(inst, budgets):
+        deg, edge_mult = x.deg, x.edge_mult
         for c in inst.clients:
-            if c not in chosen and x.client_deg[c] == r:
-                chosen[c] = tuple(s for s in inst.client_adj[c] if (c, s) in x.mult)
+            if c not in chosen and deg[c] == r:
+                adj, first = client_adj[c], edge_start[c]
+                chosen[c] = tuple(compress(adj, edge_mult[first:first + len(adj)]))
     return chosen
 
 
@@ -281,7 +286,7 @@ def solve_weighted_local(inst: Instance) -> Assignment:
         x = eliminate_short_paths(sub, profile, k)
         if not is_client_perfect(sub, x):
             raise AssertionError(f"weight-{wi} class matching not client-perfect; engine bug")
-        return {c: (s,) for c, s in x.mult}
+        return {c: (s,) for c, s in compress(sub.edges, x.edge_mult)}
 
     return Assignment(inst, {c: s for c, (s,) in _per_class(inst, solve_class).items()})
 
@@ -292,32 +297,34 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
     budget (preferring servers already holding units of c, then ascending
     id).
 
-    Budgets run on the outside, each matching read once: the clients whose
-    matched degree passed their running maximum (``placed``, per client id)
-    take their new units from their matched edges in ascending edge order,
-    edges already in ``mult`` first.  The edges stay (c, s) keys: the
-    matchings arrive keyed so, and turning each key into an edge id costs a
-    bisection that the flat state would not win back.
+    Budgets run on the outside, each matching read once on edge ids: every
+    client whose matched degree passed its running maximum (``placed``, per
+    client id) takes its new units from its matched edges, those already
+    holding units of it first, each group in ascending edge id.
     """
     placed = [0] * inst.n
-    mult: dict[tuple[int, int], int] = {}
+    split = [0] * inst.m
+    client_adj, edge_start = inst.client_adj, inst.edge_start
     for x in _until_client_perfect(inst, budgets):
-        deg = x.client_deg
-        grown = sorted((e, units) for e, units in x.mult.items() if deg[e[0]] > placed[e[0]])
-        for c, slots in groupby(grown, key=lambda slot: slot[0][0]):
+        deg, edge_mult = x.deg, x.edge_mult
+        for c in inst.clients:
             alloc = deg[c] - placed[c]
-            # a stable sort keeps ascending order within used and unused edges
-            for e, units in sorted(slots, key=lambda slot: slot[0] not in mult):
-                take = min(units, alloc)
-                mult[e] = mult.get(e, 0) + take
-                placed[c] += take
+            if alloc <= 0:
+                continue
+            first = edge_start[c]
+            last = first + len(client_adj[c])
+            matched = list(compress(range(first, last), edge_mult[first:last]))
+            for e in [e for e in matched if split[e]] + [e for e in matched if not split[e]]:
+                take = min(edge_mult[e], alloc)
+                split[e] += take
                 alloc -= take
                 if alloc == 0:
                     break
+            placed[c] = deg[c]
     for c in inst.clients:
         if placed[c] != inst.weight[c]:
             raise AssertionError(f"client {c} placed {placed[c]} of {inst.weight[c]} units")
-    return SplitAssignment(inst, mult)
+    return SplitAssignment(inst, dict(zip(compress(inst.edges, split), filter(None, split))))
 
 
 def split_assignment_seq(inst: Instance) -> SplitAssignment:

@@ -534,6 +534,10 @@ class TestVerify:
         (lambda d: d["simulatedMessages"][2].update(bits=True),
          "trace simulatedMessages[2].bits"),
         (lambda d: d["simulatedMessages"][2].pop("round"), "trace simulatedMessages[2].round"),
+        (lambda d: d.update(extra=1), "trace: unknown field 'extra'"),
+        (lambda d: d["phases"][0].update(roudns=5), "trace phases[0]: unknown field 'roudns'"),
+        (lambda d: d["simulatedMessages"][2].update(bitz=1),
+         "trace simulatedMessages[2]: unknown field 'bitz'"),
     ])
     def test_budget_check_rejects_bad_trace_fields(self, unit_file, tmp_path, capsys, edit,
                                                    field):

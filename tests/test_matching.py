@@ -22,7 +22,6 @@ from semimatch.matching import (
     _bfs_back,
     _greedy_fill,
     _layers,
-    _Residual,
 )
 from semimatch.oracle import (
     _flow_value,
@@ -219,7 +218,7 @@ class TestFullServers:
 
     def test_bfs_labels_no_server(self, full):
         inst, x = full
-        state = _Residual(inst, x.profile, x)
+        state = x
         roots = state.free_clients()
         assert roots == [0, 1, 2]
         level, end = _bfs(state, roots)
@@ -243,6 +242,45 @@ class TestCapMatching:
         with pytest.raises(ValueError, match="is not an edge"):
             m.add(*edge, 1)
         assert m.mult == {} and set(m.client_deg.values()) == {0}
+
+    @pytest.mark.parametrize("kappa, tau, edge_cap, units, message", [
+        (1, 1, None, -1, r"negative multiplicity on edge \(0, 2\)"),
+        (1, 1, None, 0.5, r"multiplicity 0.5 on edge \(0, 2\) is not an int"),
+        (1, 1, None, 1.0, r"multiplicity 1.0 on edge \(0, 2\) is not an int"),
+        (1, 1, None, True, r"multiplicity True on edge \(0, 2\) is not an int"),
+        (1, 1, None, 5, r"client 0 over capacity: 5 > 1"),
+        (3, 2, None, 3, r"server 2 over capacity: 3 > 2"),
+        (3, 3, 1, 2, r"edge \(0, 2\) over capacity: 2 > 1"),
+    ])
+    def test_rejects_a_bad_multiplicity(self, kappa, tau, edge_cap, units, message):
+        inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
+        prof = CapacityProfile.uniform(inst, kappa, tau, edge_cap)
+        with pytest.raises(ValueError, match=message):
+            CapMatching(inst, prof, {(0, 2): units})
+        m = CapMatching(inst, prof, {(1, 3): 1})
+        with pytest.raises(ValueError, match=message):
+            m.add(0, 2, units)
+        # the failed add left the matching as it was
+        assert m == CapMatching(inst, prof, {(1, 3): 1})
+        assert (m.mult, m.client_deg, m.server_deg) == ({(1, 3): 1}, {0: 0, 1: 1}, {2: 0, 3: 1})
+
+    def test_add_and_remove(self):
+        inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
+        prof = CapacityProfile.uniform(inst, 2, 2)
+        m = CapMatching(inst, prof)
+        m.add(0, 2, 2)
+        assert not m.client_saturated(1) and m.server_saturated(2)
+        m.add(0, 2, -1)
+        assert m == CapMatching(inst, prof, {(0, 2): 1, (1, 3): 0})
+        assert (m.mult, m.client_deg) == ({(0, 2): 1}, {0: 1, 1: 0})
+
+    def test_views_are_read_only(self):
+        inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
+        m = CapMatching(inst, CapacityProfile.uniform(inst, 1, 1), {(0, 2): 1})
+        for view, key in ((m.mult, (0, 2)), (m.client_deg, 0), (m.server_deg, 2)):
+            with pytest.raises(TypeError):
+                view[key] = 0
+        assert m.deg == [1, 0, 1, 0]
 
 
 class TestClientPerfect:
@@ -442,7 +480,7 @@ class TestEngineProperties:
     @given(small_profiles())
     def test_greedy_fill_is_the_first_blocking_phase(self, case):
         inst, prof = case
-        filled, searched = _Residual(inst, prof), _Residual(inst, prof)
+        filled, searched = CapMatching(inst, prof), CapMatching(inst, prof)
         moved = _greedy_fill(filled)
         roots = searched.free_clients()
         level, end = _bfs(searched, roots)
@@ -456,7 +494,7 @@ class TestEngineProperties:
     def test_backward_layering_blocks_as_forward(self, case, phases, max_len):
         inst, prof = case
         x = CapMatching(inst, prof) if phases == 0 else blocking_flow_matching(inst, prof, phases)
-        forward, backward = _Residual(inst, prof, x), _Residual(inst, prof, x)
+        forward, backward = CapMatching(inst, prof, x.mult), CapMatching(inst, prof, x.mult)
         roots = forward.free_clients()
         level, end = _bfs(forward, roots, max_len)
         ends = [s for s in inst.servers if backward.deg[s] < backward.cap[s]]
@@ -505,7 +543,7 @@ class TestLayerSide:
         inst = build_instance(range(6), [6, 7, 8],
                               [(0, 6), (1, 7), (2, 8), (3, 7), (4, 8), (5, 7), (5, 8)])
         prof = CapacityProfile.uniform(inst, 1, 1)
-        state = _Residual(inst, prof, CapMatching(inst, prof, {(1, 7): 1, (2, 8): 1}))
+        state = CapMatching(inst, prof, {(1, 7): 1, (2, 8): 1})
         roots, level, target = _layers(state, math.inf)
         assert (roots, target) == ([0], 1)
         # only server 6 and its neighbourhood are labelled
@@ -516,7 +554,7 @@ class TestLayerSide:
         # client 1 is the only free client; servers 3, 4, 5 have room
         inst = build_instance([0, 1], [2, 3, 4, 5], [(0, 2), (1, 2), (1, 3), (1, 4), (1, 5)])
         prof = CapacityProfile.uniform(inst, 1, 1)
-        state = _Residual(inst, prof, CapMatching(inst, prof, {(0, 2): 1}))
+        state = CapMatching(inst, prof, {(0, 2): 1})
         roots, level, target = _layers(state, math.inf)
         assert [len(calls) for calls in searches] == [1, 0]
         assert (roots, target) == ([1], 1)
@@ -528,6 +566,6 @@ class TestLayerSide:
     ])
     def test_no_free_vertex_on_a_side_runs_no_search(self, chain, searches, tau, mult):
         prof = CapacityProfile({c: 1 for c in chain.clients}, tau)
-        state = _Residual(chain, prof, CapMatching(chain, prof, mult))
+        state = CapMatching(chain, prof, mult)
         assert _layers(state, math.inf) is None
         assert [len(calls) for calls in searches] == [0, 0]

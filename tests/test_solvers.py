@@ -360,6 +360,32 @@ class TestEarlyStop:
         assert len(calls) == 1
 
 
+class TestFlatState:
+    """The solvers read each budget's matching on edge ids: no solve builds
+    a ``CapMatching`` view keyed by edge (c, s) or by vertex."""
+
+    @pytest.mark.parametrize("solve, engine", [
+        (solve_sequential, "blocking_flow_matching"),
+        (solve_weighted_congest, "eliminate_short_paths"),
+        (solve_weighted_local, "eliminate_short_paths"),
+        (lambda inst: solve_backup(inst, 2), "eliminate_short_paths"),
+    ])
+    def test_no_view_is_read(self, monkeypatch, solve, engine):
+        reads = []
+        for name in ("mult", "client_deg", "server_deg"):
+            view = getattr(CapMatching, name)
+            monkeypatch.setattr(CapMatching, name, property(
+                lambda x, view=view, name=name: reads.append(name) or view.fget(x)))
+        calls = count_calls(monkeypatch, matching, engine)
+        inst = normalize_weights(generate_instance(
+            "weighted-random", seed=1, n_clients=60, n_servers=15, p=0.5, max_weight=8))
+        solve(inst)
+        assert calls and reads == []
+        # the spy sees a read
+        assert CapMatching(inst, CapacityProfile.uniform(inst, 1, 1)).mult == {}
+        assert reads == ["mult"]
+
+
 class TestMultiAssignment:
     def test_validation(self, chain):
         with pytest.raises(ValueError, match="distinct"):
