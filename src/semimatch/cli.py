@@ -35,7 +35,7 @@ from .simulate import (
     simulated,
     verify_message_budget,
 )
-from .solvers import Assignment, InfeasibleError, MultiAssignment
+from .solvers import Assignment, InfeasibleError
 
 
 def instance_digest(inst: Instance) -> str:
@@ -127,11 +127,10 @@ def _solve(algo: Algorithm, inst: Instance, r: int | None, simulate: bool, oracl
     lv = result.load_vector()
     report["loads"] = {str(s): v for s, v in sorted(lv.loads.items())}
     report["norms"] = _norms(lv, extra_p)
-    if isinstance(result, MultiAssignment):
-        report["assignment"] = {str(c): list(ss) for c, ss in sorted(result.mapping.items())}
+    # a MultiAssignment's server tuples encode as the same JSON arrays as lists
+    report["assignment"] = {str(c): s for c, s in sorted(result.mapping.items())}
+    if algo.takes_r:
         report["r"] = r
-    else:
-        report["assignment"] = {str(c): s for c, s in sorted(result.mapping.items())}
     if oracle:
         report["oracle"] = _oracle_comparison(inst, algo, r, lv)
     if trace is not None:

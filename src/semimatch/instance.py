@@ -154,9 +154,10 @@ class Instance:
         return len(self.server_adj[v])
 
     def edge_id(self, c: int, s: int) -> int | None:
-        """The id of edge (c, s), or None when it is not an edge."""
+        """The id of edge (c, s), or None when it is not an edge (an end
+        that is not a plain int, a bool or a float included, is none)."""
         adj = self.client_adj.get(c)
-        if adj is None:
+        if adj is None or type(c) is not int or type(s) is not int:
             return None
         i = bisect_left(adj, s)
         return self.edge_start[c] + i if i < len(adj) and adj[i] == s else None

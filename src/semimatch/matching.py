@@ -63,8 +63,8 @@ class CapacityProfile:
 
     ``edge_cap`` caps the multiplicity of every edge: None for unbounded, or
     a positive int (1 gives simple degree-constrained subgraphs, as used for
-    backup placement).  Every capacity is a plain int (a bool or a float is
-    rejected).
+    backup placement).  Every capacity, and every vertex id keying kappa and
+    tau, is a plain int (a bool or a float is rejected).
     """
 
     kappa: dict[int, int]
@@ -72,16 +72,14 @@ class CapacityProfile:
     edge_cap: int | None = None
 
     def __post_init__(self) -> None:
-        for c, k in self.kappa.items():
-            if type(k) is not int:
-                raise ValueError(f"kappa({c}) must be an int, got {k!r}")
-            if k < 1:
-                raise ValueError(f"kappa({c}) must be >= 1, got {k}")
-        for s, t in self.tau.items():
-            if type(t) is not int:
-                raise ValueError(f"tau({s}) must be an int, got {t!r}")
-            if t < 0:
-                raise ValueError(f"tau({s}) must be >= 0, got {t}")
+        for name, given, low in (("kappa", self.kappa, 1), ("tau", self.tau, 0)):
+            for v, k in given.items():
+                if type(v) is not int:
+                    raise ValueError(f"{name} key {v!r} is not a vertex id (an int)")
+                if type(k) is not int:
+                    raise ValueError(f"{name}({v}) must be an int, got {k!r}")
+                if k < low:
+                    raise ValueError(f"{name}({v}) must be >= {low}, got {k}")
         cap = self.edge_cap
         if cap is not None and (type(cap) is not int or cap < 1):
             raise ValueError(f"edge_cap must be None or a positive int, got {cap!r}")

@@ -93,11 +93,26 @@ def _check_degrees(inst: Instance) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _assignment_space_size(inst: Instance) -> int:
-    size = 1
-    for c in inst.clients:
-        size *= max(1, inst.degree(c))
-    return size
+def _picks(inst: Instance, r: int, limit: int):
+    """Every way to put each client on r distinct adjacent servers, in
+    lexicographic order: yields (the picked servers of each client, a tuple
+    of ascending server tuples in client order; the load of every server,
+    in server order).  With r = 1 these are the assignments.
+
+    Raises EnumerationTooLarge, before yielding, when there are more than
+    ``limit`` picks.
+    """
+    size = math.prod(math.comb(inst.degree(c), r) for c in inst.clients)
+    if size > limit:
+        raise EnumerationTooLarge(f"{size} picks exceed the cutoff {limit}")
+    clients, servers, weight = inst.clients, inst.servers, inst.weight
+    for combo in itertools.product(
+            *(itertools.combinations(inst.client_adj[c], r) for c in clients)):
+        loads = dict.fromkeys(servers, 0)
+        for c, chosen in zip(clients, combo):
+            for s in chosen:
+                loads[s] += weight[c]
+        yield combo, list(loads.values())
 
 
 def opt_allnorm_enum(
@@ -111,26 +126,16 @@ def opt_allnorm_enum(
     Canonical optimum: lexicographically smallest sorted-descending load
     vector, ties broken by the lexicographic assignment map.  For unit
     weights the per-p optima are asserted to coincide with the canonical
-    assignment's norms.
+    assignment's norms.  The l1 optimum is the total weight, which every
+    assignment places.
     """
     _check_degrees(inst)
-    space = _assignment_space_size(inst)
-    if space > max_assignments:
-        raise EnumerationTooLarge(f"{space} assignments exceed the cutoff {max_assignments}")
-    clients = list(inst.clients)
-    choices = [inst.client_adj[c] for c in clients]
     finite_ps = [p for p in p_list if p != math.inf and p != 1]
     best_pow = {p: None for p in finite_ps}
     best_inf = None
-    best_l1 = None
     unit = inst.is_unit_weight()
     best_key = None
-    best_map = None
-    for combo in itertools.product(*choices):
-        loads = {s: 0 for s in inst.servers}
-        for c, s in zip(clients, combo):
-            loads[s] += inst.weight[c]
-        values = list(loads.values())
+    for combo, values in _picks(inst, 1, max_assignments):
         for p in finite_ps:
             total = sum(v**p for v in values)
             if best_pow[p] is None or total < best_pow[p]:
@@ -138,25 +143,21 @@ def opt_allnorm_enum(
         mx = max(values)
         if best_inf is None or mx < best_inf:
             best_inf = mx
-        l1 = sum(values)
-        if best_l1 is None or l1 < best_l1:
-            best_l1 = l1
         if unit:
-            key = (tuple(sorted(values, reverse=True)), combo)
+            key = (sorted(values, reverse=True), combo)
             if best_key is None or key < best_key:
                 best_key = key
-                best_map = dict(zip(clients, combo))
     optima = {}
     for p in p_list:
         if p == math.inf:
             optima[p] = float(best_inf)
         elif p == 1:
-            optima[p] = float(best_l1)
+            optima[p] = float(inst.total_weight)
         else:
             optima[p] = best_pow[p] ** (1.0 / p)
     witness = None
-    if unit and best_map is not None:
-        witness = Assignment(inst, best_map)
+    if best_key is not None:
+        witness = Assignment(inst, {c: s for c, (s,) in zip(inst.clients, best_key[1])})
         lv = witness.load_vector()
         for p in p_list:
             if not math.isclose(lv.norm(p), optima[p], rel_tol=1e-12, abs_tol=1e-9):
@@ -175,50 +176,22 @@ def opt_power_sums(
     norm_A <= K * norm_opt  iff  power_sum_A <= K**p * opt_power_sum.
     """
     _check_degrees(inst)
-    space = _assignment_space_size(inst)
-    if space > max_assignments:
-        raise EnumerationTooLarge(f"{space} assignments exceed the cutoff {max_assignments}")
-    clients = list(inst.clients)
-    choices = [inst.client_adj[c] for c in clients]
     best: dict[int, int | None] = {p: None for p in p_list}
-    for combo in itertools.product(*choices):
-        loads = {s: 0 for s in inst.servers}
-        for c, s in zip(clients, combo):
-            loads[s] += inst.weight[c]
-        values = loads.values()
+    for _, values in _picks(inst, 1, max_assignments):
         for p in p_list:
             total = sum(v**p for v in values)
             if best[p] is None or total < best[p]:
                 best[p] = total
-    return {p: v for p, v in best.items()}
+    return best
 
 
 def opt_backup_enum(inst: Instance, r: int, max_combinations: int = 10**6) -> int:
     """Exact backup-placement optimum by exhaustive r-subset enumeration."""
     _check_degrees(inst)
-    per_client = []
-    size = 1
     for c in inst.clients:
-        subsets = list(itertools.combinations(inst.client_adj[c], r))
-        if not subsets:
+        if inst.degree(c) < r:
             raise InfeasibleError(f"client {c} has degree < {r}", client=c)
-        per_client.append(subsets)
-        size *= len(subsets)
-        if size > max_combinations:
-            raise EnumerationTooLarge(
-                f"more than {max_combinations} r-subset combinations"
-            )
-    best = None
-    clients = list(inst.clients)
-    for combo in itertools.product(*per_client):
-        loads = {s: 0 for s in inst.servers}
-        for c, chosen in zip(clients, combo):
-            for s in chosen:
-                loads[s] += inst.weight[c]
-        mx = max(loads.values())
-        if best is None or mx < best:
-            best = mx
-    return best
+    return min(max(values) for _, values in _picks(inst, r, max_combinations))
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,24 @@ closes; every vertex degree is preserved and the support becomes a forest.
 star_round then rounds the forest into server-centered stars, assigning each
 client wholly to one support server.
 
-Both take and return dicts keyed by edge (c, s), but run on the instance's
-edge ids (see ``Instance``): a flat multiplicity per edge id, one neighbour
-list per vertex filled from the support's ascending edge ids, and per-vertex
-flat lists and bytearrays for the walk.  Edge ids sort like (c, s), so the
-neighbour lists are ascending at both ends and every result matches the
-one the same walk gives on (c, s) tuples.  An entry that is not a plain int,
-a negative one, or a positive one on a key that is not an edge of the
-instance, raises ValueError.
+Both run on the instance's edge ids (see ``Instance``): a flat multiplicity
+per edge id, one neighbour list per vertex filled from the support's
+ascending edge ids, and per-vertex flat lists and bytearrays for the walk.
+Edge ids sort like (c, s), so the neighbour lists are ascending at both ends
+and every result matches the one the same walk gives on (c, s) tuples.
 
-``round_split`` runs the two walks back to back on the edge ids that its
-``SplitAssignment`` looked up once, with no dict in between.
+A ``SplitAssignment`` holds its units on edge ids already, as ``_split``
+builds them, so ``round_split`` runs the two walks back to back on a copy of
+them, with no dict and no lookup in between.  The public ``cancel_cycles``
+and ``star_round`` take and return dicts keyed by edge (c, s) and look every
+key up once: an entry that is not a plain int, a negative one, or a positive
+one on a key that is not an edge of the instance, raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping
 
@@ -33,36 +35,44 @@ class SplitAssignment:
     """Client-perfect (w, inf)-matching: each client spreads exactly w(c)
     integral units over adjacent servers.
 
-    Construction looks every key up once and keeps the support's edge ids
-    and flat multiplicities for ``round_split``.  ``mult`` is then a
-    read-only view of the positive entries (the caller's dict is copied,
-    not edited), so it cannot drift from those flat lists.
+    ``x[e]`` is the number of units on edge id e of ``inst``, one plain int
+    per edge id.  The constructor keeps ``x`` as given and rejects, with a
+    ValueError, anything but a list of ``inst.m`` entries, an entry that is
+    not a plain int (a bool or a float included) or is negative, and a client
+    whose units do not sum to its weight.  ``mult`` (edge (c, s) -> positive
+    units) is a read-only view of ``x``, built when read.
     """
 
     inst: Instance
-    mult: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    x: list[int]
 
     def __post_init__(self) -> None:
-        inst = self.inst
-        ids, x = _support(inst, self.mult, "edge ({c}, {s}) not in instance")
-        mult = dict(self.mult)
-        if len(mult) > len(ids):  # drop the zero entries
-            mult = {e: units for e, units in mult.items() if units}
-        self.mult, self._ids, self._x = MappingProxyType(mult), ids, x
-        deg = [0] * inst.n
-        edges = inst.edges
-        for e in ids:
-            deg[edges[e][0]] += x[e]
+        inst, x = self.inst, self.x
+        if type(x) is not list or len(x) != inst.m:
+            raise ValueError(f"split must be a list of {inst.m} ints, one per edge id")
+        if not set(map(type, x)) <= {int} or min(x, default=0) < 0:
+            e, units = next((e, units) for e, units in enumerate(x)
+                            if type(units) is not int or units < 0)
+            c, s = inst.edges[e]
+            if type(units) is not int:
+                raise ValueError(f"multiplicity {units!r} on edge ({c}, {s}) is not an int")
+            raise ValueError(f"negative multiplicity on edge ({c}, {s})")
+        client_adj, edge_start, weight = inst.client_adj, inst.edge_start, inst.weight
         for c in inst.clients:
-            if deg[c] != inst.weight[c]:
-                raise ValueError(
-                    f"client {c} places {deg[c]} units but has weight {inst.weight[c]}"
-                )
+            first = edge_start[c]
+            placed = sum(x[first:first + len(client_adj[c])])
+            if placed != weight[c]:
+                raise ValueError(f"client {c} places {placed} units but has weight {weight[c]}")
+
+    @property
+    def mult(self) -> MappingProxyType:
+        x = self.x
+        return MappingProxyType(dict(zip(compress(self.inst.edges, x), filter(None, x))))
 
     def loads(self) -> dict[int, int]:
-        out = {s: 0 for s in self.inst.servers}
-        for (_, s), x in self.mult.items():
-            out[s] += x
+        out = dict.fromkeys(self.inst.servers, 0)
+        for (_, s), units in zip(compress(self.inst.edges, self.x), filter(None, self.x)):
+            out[s] += units
         return out
 
 
@@ -75,15 +85,13 @@ def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
     return deg
 
 
-def _support(inst: Instance, mult: Mapping[tuple[int, int], int],
-             not_an_edge: str = "({c}, {s}) is not an edge of the instance",
+def _support(inst: Instance, mult: Mapping[tuple[int, int], int]
              ) -> tuple[list[int], list[int]]:
     """The support of ``mult`` on ``inst``'s edge ids: its edge ids in
     ascending order, and the multiplicity of every edge id (0 off the
     support).  Zero entries are ignored.  A value that is not a plain int
     (a bool or a float included) or is negative raises ValueError, and so
-    does a positive one on a key that is not an edge of ``inst``, with the
-    message ``not_an_edge`` formatted with the key's ``c`` and ``s``."""
+    does a positive one on a key that is not an edge of ``inst``."""
     ids, x = [], [0] * inst.m
     edge_id = inst.edge_id
     for (c, s), units in mult.items():
@@ -94,7 +102,7 @@ def _support(inst: Instance, mult: Mapping[tuple[int, int], int],
         if units:
             e = edge_id(c, s)
             if e is None:
-                raise ValueError(not_an_edge.format(c=c, s=s))
+                raise ValueError(f"({c}, {s}) is not an edge of the instance")
             ids.append(e)
             x[e] = units
     ids.sort()
@@ -252,17 +260,17 @@ def _star_walk(inst: Instance, ids: list[int], x: list[int]) -> dict[int, int]:
 def round_split(inst: Instance, split: SplitAssignment):
     """cancel_cycles followed by star_round; returns a solvers.Assignment.
 
-    Both walks run on the edge ids ``split`` looked up, which hold for
-    ``inst`` when it shares ``split.inst``'s edge layout (as a
-    ``normalize_weights`` result does); otherwise ``split.mult`` is looked
-    up on ``inst`` afresh.
+    Both walks run on a copy of ``split.x``, from its ascending support ids.
+    ``inst`` may be another instance than ``split.inst`` (a
+    ``normalize_weights`` result, say), but its edges must be the same, so
+    that the edge ids are; other edges raise ValueError.
     """
     from .solvers import Assignment  # local import to avoid a cycle
 
-    if inst.edges is split.inst.edges:
-        ids, x = split._ids, list(split._x)
-    else:
-        ids, x = _support(inst, split.mult)
+    if inst.edges != split.inst.edges:
+        raise ValueError("the split is on another instance's edges")
+    x = list(split.x)
+    ids = list(compress(range(inst.m), x))
     _cancel_walk(inst, ids, x)
     forest = [e for e in ids if x[e]]
     return Assignment(inst, _star_walk(inst, forest, x))

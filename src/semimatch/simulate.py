@@ -22,8 +22,6 @@ from typing import Callable
 
 from .instance import Instance, InstanceError, normalize_weights
 from .solvers import (
-    Assignment,
-    MultiAssignment,
     _ceil_log2,
     b_schedule,
     short_path_bound,
@@ -286,13 +284,9 @@ def run_simulation(inst: Instance, algorithm: str, r: int | None = None):
     # final charged round (charged 0 additional rounds)
     trace.phases.append({"label": "announce", "rounds": 0})
     final_round = trace.charged_rounds
-    if isinstance(result, MultiAssignment):
-        for c in sorted(result.mapping):
-            for s in result.mapping[c]:
-                trace.emit(final_round, (c, s), msg_bits, limit)
-    elif isinstance(result, Assignment):
-        for c in sorted(result.mapping):
-            trace.emit(final_round, (c, result.mapping[c]), msg_bits, limit)
+    for c, chosen in sorted(result.mapping.items()):
+        for s in (chosen if algo.takes_r else (chosen,)):
+            trace.emit(final_round, (c, s), msg_bits, limit)
     return result, trace
 
 

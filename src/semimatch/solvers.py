@@ -87,8 +87,11 @@ class LoadVector:
 
 
 def _check_keys(inst: Instance, mapping: dict) -> None:
-    """Reject a key of ``mapping`` that is not a client of ``inst``; O(1)
-    unless ``mapping`` has more keys than ``inst`` has clients."""
+    """Reject a key of ``mapping`` that is not a plain int (a bool included)
+    or not a client of ``inst``."""
+    if not set(map(type, mapping)) <= {int}:
+        bad = next(key for key in mapping if type(key) is not int)
+        raise ValueError(f"{bad!r} is not a client id (an int)")
     if len(mapping) > len(inst.clients):
         extra = next(key for key in mapping if key not in inst.client_adj)
         raise ValueError(f"{extra!r} is not a client of the instance")
@@ -96,7 +99,7 @@ def _check_keys(inst: Instance, mapping: dict) -> None:
 
 @dataclass
 class Assignment:
-    """Total map client -> adjacent server."""
+    """Total map client -> adjacent server, both plain int ids."""
 
     inst: Instance
     mapping: dict[int, int]
@@ -107,8 +110,8 @@ class Assignment:
             s = self.mapping.get(c)
             if s is None:
                 raise ValueError(f"client {c} is unassigned")
-            if s not in self.inst.client_adj[c]:
-                raise ValueError(f"client {c} assigned to non-adjacent server {s}")
+            if type(s) is not int or s not in self.inst.client_adj[c]:
+                raise ValueError(f"client {c} assigned to non-adjacent server {s!r}")
 
     def load_vector(self) -> LoadVector:
         loads = {s: 0 for s in self.inst.servers}
@@ -119,7 +122,8 @@ class Assignment:
 
 @dataclass
 class MultiAssignment:
-    """Backup placement output: each client on exactly r distinct servers."""
+    """Backup placement output: each client on exactly r distinct servers,
+    all plain int ids."""
 
     inst: Instance
     r: int
@@ -132,8 +136,8 @@ class MultiAssignment:
             if chosen is None or len(chosen) != self.r or len(set(chosen)) != self.r:
                 raise ValueError(f"client {c} must be on exactly {self.r} distinct servers")
             for s in chosen:
-                if s not in self.inst.client_adj[c]:
-                    raise ValueError(f"client {c} placed on non-adjacent server {s}")
+                if type(s) is not int or s not in self.inst.client_adj[c]:
+                    raise ValueError(f"client {c} placed on non-adjacent server {s!r}")
 
     def load_vector(self) -> LoadVector:
         loads = {s: 0 for s in self.inst.servers}
@@ -271,7 +275,8 @@ def solve_weighted_local(inst: Instance) -> Assignment:
     k = short_path_bound(inst.n_expanded)
     # units the expanded schedule places per (class weight, server)
     restricted: dict[tuple[int, int], int] = {}
-    for (c, s), units in _split(inst, unit_schedule(inst, 1)).mult.items():
+    x = _split(inst, unit_schedule(inst, 1)).x
+    for (c, s), units in zip(compress(inst.edges, x), filter(None, x)):
         key = (inst.weight[c], s)
         restricted[key] = restricted.get(key, 0) + units
 
@@ -300,7 +305,9 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
     Budgets run on the outside, each matching read once on edge ids: every
     client whose matched degree passed its running maximum (``placed``, per
     client id) takes its new units from its matched edges, those already
-    holding units of it first, each group in ascending edge id.
+    holding units of it first, each group in ascending edge id.  The units
+    stay on edge ids: the ``SplitAssignment`` keeps this one list, and its
+    constructor checks that every client placed exactly its weight.
     """
     placed = [0] * inst.n
     split = [0] * inst.m
@@ -321,10 +328,7 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
                 if alloc == 0:
                     break
             placed[c] = deg[c]
-    for c in inst.clients:
-        if placed[c] != inst.weight[c]:
-            raise AssertionError(f"client {c} placed {placed[c]} of {inst.weight[c]} units")
-    return SplitAssignment(inst, dict(zip(compress(inst.edges, split), filter(None, split))))
+    return SplitAssignment(inst, split)
 
 
 def split_assignment_seq(inst: Instance) -> SplitAssignment:

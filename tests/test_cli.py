@@ -386,6 +386,18 @@ class TestSolveReports:
         assert report["assignment"] == {"0": [2, 3], "1": [2, 3]}
         assert report["oracle"]["ratio_linf"] <= 8.0
 
+    @pytest.mark.parametrize("simulate", [(), ("--simulate",)])
+    def test_backup_report_with_one_copy(self, unit_file, capsys, simulate):
+        # r = 1 still reports a one-element list per client, and r
+        code, stdout, _ = run_cli(capsys, "solve", unit_file, "--algo", "backup", "--r", "1",
+                                  *simulate)
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["r"] == 1
+        assert report["assignment"] and all(
+            type(servers) is list and len(servers) == 1
+            for servers in report["assignment"].values())
+
 
 class TestVerify:
     def test_validity_pass_and_fail(self, unit_file, tmp_path, capsys):
@@ -616,7 +628,8 @@ class TestVerify:
         assert error["error"] == "InstanceError"
         assert "edge_cap" in error["detail"]
 
-    @pytest.mark.parametrize("bad", [[0, 4, 1], [0, 3, -1], [0, 3, 1.0], [0, 3], {"c": 0}])
+    @pytest.mark.parametrize("bad", [[0, 4, 1], [0, 3, -1], [0, 3, 1.0], [0, 3], {"c": 0},
+                                     [True, 3, 1]])
     def test_matching_artifact_rejects_bad_mult(self, tmp_path, capsys, bad):
         # client 0 is adjacent to server 3 only
         path = tmp_path / "inst.json"

@@ -73,6 +73,11 @@ class TestBuildInstance:
         for c, s in [(inst.clients[0], inst.clients[-1]), (inst.servers[0], inst.clients[0]),
                      (inst.clients[0], inst.n)]:
             assert inst.edge_id(c, s) is None
+        # an end that is not a plain int names no edge, even one equal to an id
+        for c, s in inst.edges:
+            assert inst.edge_id(float(c), s) is inst.edge_id(c, float(s)) is None
+            if c in (0, 1):
+                assert inst.edge_id(bool(c), s) is None
 
     @pytest.mark.parametrize("clients,servers,detail", [
         ([0, 0, 1], [2], "client id 0 is repeated"),

@@ -232,7 +232,8 @@ class TestFullServers:
 
 
 class TestCapMatching:
-    @pytest.mark.parametrize("edge", [(0, 3), (0, 7), (2, 3), (3, 1)])
+    # (True, 3) names edge (1, 3) if a bool is taken as a client id
+    @pytest.mark.parametrize("edge", [(0, 3), (0, 7), (2, 3), (3, 1), (True, 3)])
     def test_rejects_a_key_that_is_not_an_edge(self, edge):
         inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
         prof = CapacityProfile.uniform(inst, 1, 1)
@@ -367,6 +368,15 @@ class TestCapacityProfile:
     def test_rejects_tau_other_than_an_int(self, tau):
         with pytest.raises(ValueError, match=r"tau\(2\) must be an int"):
             CapacityProfile({0: 1, 1: 1}, {2: tau, 3: 1})
+
+    # True was taken as client 1, and 2.0 as server 2
+    @pytest.mark.parametrize("kappa, tau, message", [
+        ({True: 1, 0: 1}, {2: 1, 3: 1}, "kappa key True is not a vertex id"),
+        ({0: 1, 1: 1}, {2.0: 1, 3: 1}, "tau key 2.0 is not a vertex id"),
+    ])
+    def test_rejects_a_key_other_than_an_int(self, kappa, tau, message):
+        with pytest.raises(ValueError, match=message):
+            CapacityProfile(kappa, tau)
 
 
 class TestProfileCoversInstance:

@@ -116,8 +116,9 @@ class TestCancelCycles:
 
 
 # keys that are not edges of the chain fixture: a missing vertex, a missing
-# edge between a client and a server, a swapped pair and two clients
-NON_EDGES = [(0, 9), (0, 4), (3, 0), (0, 1)]
+# edge between a client and a server, a swapped pair, two clients, and a bool
+# standing for client 1 of edge (1, 3)
+NON_EDGES = [(0, 9), (0, 4), (3, 0), (0, 1), (True, 3)]
 
 
 class TestRejectsNonEdges:
@@ -130,11 +131,6 @@ class TestRejectsNonEdges:
     def test_star_round(self, chain, edge):
         with pytest.raises(ValueError, match=rf"\({edge[0]}, {edge[1]}\) is not an edge"):
             star_round(chain, {edge: 1, (1, 3): 1, (2, 4): 1})
-
-    @pytest.mark.parametrize("edge", NON_EDGES)
-    def test_split_assignment(self, chain, edge):
-        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) not in instance"):
-            SplitAssignment(chain, {edge: 1, (1, 3): 1, (2, 4): 1})
 
     def test_zero_entries_are_ignored(self, chain):
         assert cancel_cycles(chain, {(0, 9): 0, (0, 3): 1}) == {(0, 3): 1}
@@ -153,9 +149,9 @@ class TestRejectsNonIntMultiplicities:
 
     @pytest.mark.parametrize("units", [0.5, 1.0, True])
     def test_split_assignment(self, chain, units):
-        mult = {(0, 3): 1, (1, 3): units, (1, 4): 1 - units, (2, 4): 1}
+        # units on edge ids 0..3: (0, 3), (1, 3), (1, 4), (2, 4)
         with pytest.raises(ValueError, match=r"on edge \(1, 3\) is not an int"):
-            SplitAssignment(chain, mult)
+            SplitAssignment(chain, [1, units, 1 - units, 1])
 
 
 class TestRejectsNegativeMultiplicities:
@@ -216,24 +212,38 @@ class TestStarRound:
 
 
 class TestSplitAssignment:
+    """Units on the chain's edge ids 0..3: (0, 3), (1, 3), (1, 4), (2, 4)."""
+
     def test_validates_totality(self, chain):
         with pytest.raises(ValueError, match="units"):
-            SplitAssignment(chain, {(0, 3): 1, (1, 3): 1})
+            SplitAssignment(chain, [1, 1, 0, 0])
+
+    # a list cannot name a non-edge, only miss edge ids or add some; and a
+    # tuple is not the list the split keeps
+    @pytest.mark.parametrize("x", [[1, 1, 0], [1, 1, 0, 1, 0], [], (1, 1, 0, 1)])
+    def test_rejects_a_wrong_shape(self, chain, x):
+        with pytest.raises(ValueError, match="must be a list of 4 ints, one per edge id"):
+            SplitAssignment(chain, x)
+
+    def test_rejects_a_negative_entry(self, chain):
+        with pytest.raises(ValueError, match=r"negative multiplicity on edge \(1, 4\)"):
+            SplitAssignment(chain, [1, 2, -1, 1])
 
     def test_zero_entries_dropped(self, chain):
-        sa = SplitAssignment(chain, {(0, 3): 1, (1, 3): 1, (1, 4): 0, (2, 4): 1})
+        sa = SplitAssignment(chain, [1, 1, 0, 1])
         assert (1, 4) not in sa.mult
 
     def test_loads(self, chain):
-        sa = SplitAssignment(chain, {(0, 3): 1, (1, 4): 1, (2, 4): 1})
+        sa = SplitAssignment(chain, [1, 0, 1, 1])
         assert sa.loads() == {3: 1, 4: 2}
 
     def test_mult_is_read_only(self, chain):
-        given = {(0, 3): 1, (1, 3): 1, (1, 4): 0, (2, 4): 1}
+        given = [1, 1, 0, 1]
         sa = SplitAssignment(chain, given)
         with pytest.raises(TypeError):
             sa.mult[(1, 3)] = 0
-        assert (1, 4) in given
+        round_split(chain, sa)
+        assert sa.x == given == [1, 1, 0, 1]
 
 
 class TestRoundSplit:
@@ -243,6 +253,14 @@ class TestRoundSplit:
         twin = build_instance(inst.clients, inst.servers, inst.edges, inst.weight)
         split = split_assignment_seq(inst)
         assert round_split(twin, split).mapping == round_split(inst, split).mapping
+
+    def test_rejects_an_instance_of_other_edges(self):
+        inst = random_weighted(0, nc=8, ns=4, p=0.5, max_weight=8)
+        split = split_assignment_seq(inst)
+        other = build_instance(inst.clients, inst.servers, inst.edges[1:],
+                               {**inst.weight, inst.edges[0][0]: 1})
+        with pytest.raises(ValueError, match="another instance's edges"):
+            round_split(other, split)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_per_server_bound(self, seed):

@@ -23,6 +23,8 @@ from semimatch import (
     split_assignment_seq,
 )
 from semimatch import matching, solvers
+from semimatch.instance import Instance
+from semimatch.rounding import cancel_cycles, round_split, star_round
 from semimatch.oracle import (
     opt_backup_enum,
     opt_minmax_unweighted,
@@ -105,6 +107,17 @@ class TestAssignment:
         # server 3 as a key
         with pytest.raises(ValueError, match="3 is not a client"):
             Assignment(chain, {0: 3, 1: 3, 2: 4, 3: 4})
+        # bools were taken as clients 0 and 1
+        with pytest.raises(ValueError, match="False is not a client id"):
+            Assignment(chain, {False: 3, True: 3, 2: 4})
+
+    def test_rejects_a_server_other_than_an_int(self):
+        # False and True were taken as servers 0 and 1
+        inst = build_instance([2, 3], [0, 1], [(2, 0), (3, 1)])
+        with pytest.raises(ValueError, match="non-adjacent server False"):
+            Assignment(inst, {2: False, 3: True})
+        with pytest.raises(ValueError, match="non-adjacent server True"):
+            MultiAssignment(inst, 1, {2: (0,), 3: (True,)})
 
     def test_load_vector_weighted(self):
         inst = build_instance([0, 1], [2], [(0, 2), (1, 2)], {0: 2, 1: 1})
@@ -386,6 +399,35 @@ class TestFlatState:
         assert reads == ["mult"]
 
 
+class TestOnEdgeIds:
+    """The split stays on edge ids from the schedule to the rounding."""
+
+    @pytest.mark.parametrize("solve", [solve_sequential, solve_weighted_local])
+    def test_no_edge_is_looked_up(self, monkeypatch, solve):
+        calls = []
+        edge_id = Instance.edge_id
+        monkeypatch.setattr(Instance, "edge_id",
+                            lambda inst, c, s: calls.append((c, s)) or edge_id(inst, c, s))
+        inst = normalize_weights(generate_instance(
+            "weighted-random", seed=1, n_clients=60, n_servers=15, p=0.5, max_weight=8))
+        solve(inst)
+        assert calls == []
+        # the spy sees a lookup
+        inst.edge_id(0, inst.client_adj[0][0])
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_instances(weighted=True))
+    def test_flat_route_matches_the_dict_route(self, inst):
+        split = split_assignment_seq(inst)
+        mult = split.mult
+        assert round_split(inst, split).mapping == star_round(inst, cancel_cycles(inst, mult))
+        loads = dict.fromkeys(inst.servers, 0)
+        for (_, s), units in mult.items():
+            loads[s] += units
+        assert split.loads() == loads
+
+
 class TestMultiAssignment:
     def test_validation(self, chain):
         with pytest.raises(ValueError, match="distinct"):
@@ -394,3 +436,5 @@ class TestMultiAssignment:
     def test_rejects_a_key_that_is_not_a_client(self, chain):
         with pytest.raises(ValueError, match="7 is not a client"):
             MultiAssignment(chain, 1, {0: (3,), 1: (3,), 2: (4,), 7: (4,)})
+        with pytest.raises(ValueError, match="True is not a client id"):
+            MultiAssignment(chain, 1, {0: (3,), True: (3,), 2: (4,)})
