@@ -366,15 +366,36 @@ _ENTRY_FIELDS = {"clients": ("id", "weight"), "servers": ("id",)}
 
 
 def write_instance(inst: Instance, path) -> None:
-    """Write the JSON instance format (keys ordered, arrays sorted by id)."""
-    doc = {
-        "clients": [{"id": c, "weight": inst.weight[c]} for c in inst.clients],
-        "servers": [{"id": s} for s in inst.servers],
-        "edges": [[c, s] for c, s in inst.edges],
+    """Write the JSON instance format (keys ordered, arrays sorted by id):
+    the bytes of ``json.dumps(doc, indent=1)`` and a newline, built as one
+    string from ``_ENTRY_TEXT``, one template per entry."""
+    weight = inst.weight
+    lists = {
+        "clients": [_ENTRY_TEXT["clients"] % (c, weight[c]) for c in inst.clients],
+        "servers": [_ENTRY_TEXT["servers"] % s for s in inst.servers],
+        "edges": [_ENTRY_TEXT["edges"] % e for e in inst.edges],
     }
+    text = ",\n".join(f' "{key}": [\n' + ",\n".join(entries) + "\n ]" if entries
+                      else f' "{key}": []' for key, entries in lists.items())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f"{{\n{text}\n}}\n")
+
+
+# one entry of each list of an instance file as json.dumps(..., indent=1) lays
+# it out, two levels deep
+_ENTRY_TEXT = {
+    "clients": """  {
+   "id": %d,
+   "weight": %d
+  }""",
+    "servers": """  {
+   "id": %d
+  }""",
+    "edges": """  [
+   %d,
+   %d
+  ]""",
+}
 
 
 def read_json(path):

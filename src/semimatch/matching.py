@@ -367,7 +367,9 @@ def _greedy_fill(state: CapMatching) -> bool:
             room = cap[s] - deg[s]
             if room <= 0:
                 continue
-            got = min(need, room, edge_cap)
+            got = need if need < room else room
+            if got > edge_cap:
+                got = edge_cap
             mult[e] = got
             deg[s] += got
             need -= got

@@ -1,16 +1,18 @@
 """Rounding split assignments into integral ones.
 
 Two steps.  cancel_cycles removes every cycle from the support of a
-capacitated matching in one depth-first walk, cancelling each cycle where it
-closes; every vertex degree is preserved and the support becomes a forest.
-star_round then rounds the forest into server-centered stars, assigning each
-client wholly to one support server.
+capacitated matching: it inserts the support's edges, in ascending edge id,
+into a rooted forest of parent pointers, and each edge that closes a cycle
+cancels that one cycle on the spot, with no search restarted and no vertex
+rescanned.  Every vertex degree is preserved and the support becomes a
+forest.  star_round then rounds the forest into server-centered stars,
+assigning each client wholly to one support server.
 
 Both run on the instance's edge ids (see ``Instance``): a flat multiplicity
-per edge id, one neighbour list per vertex filled from the support's
-ascending edge ids, and per-vertex flat lists and bytearrays for the walk.
-Edge ids sort like (c, s), so the neighbour lists are ascending at both ends
-and every result matches the one the same walk gives on (c, s) tuples.
+per edge id, and per-vertex flat lists for the walks.  Edge ids sort like
+(c, s), so the smallest id on a cycle is its lexicographically smallest
+edge, and star_round's neighbour lists, filled from the support's ascending
+edge ids, are ascending at both ends.
 
 A ``SplitAssignment`` holds its units on edge ids already, as ``_split``
 builds them, so ``round_split`` runs the two walks back to back on a copy of
@@ -76,15 +78,6 @@ class SplitAssignment:
         return out
 
 
-def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for (c, s), x in mult.items():
-        if x > 0:
-            deg[c] = deg.get(c, 0) + x
-            deg[s] = deg.get(s, 0) + x
-    return deg
-
-
 def _support(inst: Instance, mult: Mapping[tuple[int, int], int]
              ) -> tuple[list[int], list[int]]:
     """The support of ``mult`` on ``inst``'s edge ids: its edge ids in
@@ -124,75 +117,93 @@ def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> None:
     """Cancel every cycle of the support ``ids`` (ascending edge ids) in
     place in ``x``, the multiplicity of every edge id.
 
-    One iterative DFS over the support, roots and neighbours in ascending id.
-    The DFS path is a tree path, so a live edge from the top vertex to a vertex
-    u on the path closes the cycle path[pos(u):] + (top, u).  The alternation
-    holding the cycle's lexicographically smallest edge goes up by delta, the
-    other down by delta (its minimum), and edges at zero leave the support.
-    The path is then cut just above the first tree edge that reached zero; the
-    vertices cut off are unvisited again and rescanned from their first
-    neighbour when the DFS reaches them anew.
+    The edges are inserted in ascending id into a rooted forest, held per
+    vertex as its parent, the edge id to its parent (-1 at a root) and its
+    degree in the forest.  A vertex of forest degree 0 is hung under the
+    other end of its edge with no search.  Otherwise a's root path is marked
+    and b walks up to the first marked vertex, their lowest common ancestor,
+    or to its own root.
 
-    ``adj[v]`` lists v's support edge ids in ascending order.  Ids sort like
-    (c, s), so that is ascending neighbour order at both ends, and the
-    smallest id on a cycle is its lexicographically smallest edge.
+    * Different trees: the end with the shorter root path is re-rooted, by
+      reversing the parent pointers along that path, and hung under the
+      other end.
+    * Same tree: the edge closes exactly one cycle, a up to the ancestor,
+      down to b, then across the edge.  The alternation holding the cycle's
+      smallest edge id goes up by delta, the other down by delta (its
+      minimum).  Every tree edge that reached zero is cut; if the new edge
+      is still positive, the piece cut off at the end nearer a cut is
+      re-rooted at that end and hung under the other end.
+
+    Invariant: the forest is exactly the positive edges inserted so far,
+    and every other inserted edge is 0.  A cancel preserves every vertex
+    degree, so at the end the support is a forest with the degrees it had.
+    Nothing is rescanned: the cost is the sum of the root paths walked.
+    Ids sort like (c, s), so the smallest id on a cycle is its
+    lexicographically smallest edge.
     """
-    edges = inst.edges
-    adj: list[list[int]] = [[] for _ in range(inst.n)]
-    tip = [0] * inst.m  # the sum of edge e's ends: its far end from v is tip[e] - v
+    edges, n = inst.edges, inst.n
+    parent = [-1] * n
+    up = [-1] * n
+    deg = [0] * n
+    mark = [-1] * n  # the edge id whose insertion marked the vertex last
     for e in ids:
-        c, s = edges[e]
-        adj[c].append(e)
-        adj[s].append(e)
-        tip[e] = c + s
-    # Invariant: outside its finished subtree, a finished vertex's only live
-    # edge is the tree edge to its parent.  Cycles only change edges of the
-    # path, so a finished subtree is a pendant tree for good and is skipped.
-    done = bytearray(inst.n)
-    pos = [-1] * inst.n  # index on the DFS path, -1 when off it
-    scan = [0] * inst.n  # next index of adj[v] to scan
-    for root in range(inst.n):
-        if done[root] or not adj[root]:
+        a, b = edges[e]
+        if not (deg[a] and deg[b]):
+            if deg[a]:
+                a, b = b, a
+            parent[a], up[a] = b, e
+            deg[a] += 1
+            deg[b] += 1
             continue
-        path = [root]
-        tree = [-1]  # tree[k] is the edge id joining path[k - 1] and path[k]
-        pos[root] = scan[root] = 0
-        while path:
-            v = path[-1]
-            vs, i, last = adj[v], scan[v], tree[-1]
-            while i < len(vs):
-                e = vs[i]
-                i += 1
-                if x[e] and e != last:
-                    u = tip[e] - v
-                    if not done[u]:
-                        break
-            else:
-                done[v] = 1
-                pos[v] = -1
-                path.pop()
-                tree.pop()
-                continue
-            scan[v] = i
-            if pos[u] < 0:
-                pos[u], scan[u] = len(path), 0
+        v, depth_a = a, 0
+        while v >= 0:
+            mark[v] = e
+            v = parent[v]
+            depth_a += 1
+        below_b = []  # b's root path below the common ancestor v
+        v = b
+        while v >= 0 and mark[v] != e:
+            below_b.append(v)
+            v = parent[v]
+        if v >= 0:  # same tree: cancel the cycle a .. v .. b, e
+            path = []  # the vertices whose tree edge is on the cycle, in order
+            u = a
+            while u != v:
                 path.append(u)
-                tree.append(e)
-                continue
-            cycle = tree[pos[u] + 1:]
+                u = parent[u]
+            n_a = len(path)
+            path += reversed(below_b)
+            cycle = [up[u] for u in path]
             cycle.append(e)
-            parity = cycle.index(min(cycle)) % 2
-            delta = min(x[f] for f in cycle[1 - parity::2])
+            parity = cycle.index(min(cycle)) & 1
+            delta = min([x[f] for f in cycle[1 - parity::2]])
             for f in cycle[parity::2]:
                 x[f] += delta
             for f in cycle[1 - parity::2]:
                 x[f] -= delta
-            for k in range(pos[u] + 1, len(path)):
-                if not x[tree[k]]:
-                    for w in path[k:]:
-                        pos[w] = -1
-                    del path[k:], tree[k:]
-                    break
+            cut = [k for k in range(1 - parity, len(path), 2) if not x[cycle[k]]]
+            for k in cut:
+                u = path[k]
+                deg[u] -= 1
+                deg[parent[u]] -= 1
+                parent[u] = up[u] = -1
+            if not x[e]:
+                continue
+            # a's piece is rooted at the lowest cut on its side, b's at the
+            # highest cut on its side; re-root the one nearer its end
+            to_a = cut[0] if cut[0] < n_a else n
+            to_b = len(path) - 1 - cut[-1] if cut[-1] >= n_a else n
+            if to_b < to_a:
+                a, b = b, a
+        elif len(below_b) < depth_a:
+            a, b = b, a
+        v, p, f = a, b, e  # re-root a's tree at a and hang it under b
+        while v >= 0:
+            next_v, next_f = parent[v], up[v]
+            parent[v], up[v] = p, f
+            v, p, f = next_v, v, next_f
+        deg[a] += 1
+        deg[b] += 1
 
 
 def star_round(inst: Instance, mult: Mapping[tuple[int, int], int]) -> dict[int, int]:

@@ -195,8 +195,9 @@ def split_schedule(inst: Instance):
     """The blocking-flow schedule, lazily: for each budget B, (B, a
     (w, 2B)-matching computed by blocking-flow phases)."""
     phases = 9 * _ceil_log2(inst.n_expanded)
+    kappa = dict(inst.weight)
     for B in b_schedule(inst.n * inst.max_weight):
-        profile = CapacityProfile(dict(inst.weight), {s: 2 * B for s in inst.servers})
+        profile = CapacityProfile(kappa, {s: 2 * B for s in inst.servers})
         yield B, blocking_flow_matching(inst, profile, phases)
 
 
@@ -305,7 +306,9 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
     Budgets run on the outside, each matching read once on edge ids: every
     client whose matched degree passed its running maximum (``placed``, per
     client id) takes its new units from its matched edges, those already
-    holding units of it first, each group in ascending edge id.  The units
+    holding units of it first, each group in ascending edge id: one pass
+    over the matched edges takes from the holding ones as it meets them and
+    keeps the others aside until it is done.  The units
     stay on edge ids: the ``SplitAssignment`` keeps this one list, and its
     constructor checks that every client placed exactly its weight.
     """
@@ -318,16 +321,28 @@ def _split(inst: Instance, budgets) -> SplitAssignment:
             alloc = deg[c] - placed[c]
             if alloc <= 0:
                 continue
+            placed[c] = deg[c]
             first = edge_start[c]
             last = first + len(client_adj[c])
-            matched = list(compress(range(first, last), edge_mult[first:last]))
-            for e in [e for e in matched if split[e]] + [e for e in matched if not split[e]]:
-                take = min(edge_mult[e], alloc)
+            fresh = []  # matched edges holding no units of c yet, taken last
+            for e in compress(range(first, last), edge_mult[first:last]):
+                if not split[e]:
+                    fresh.append(e)
+                    continue
+                take = edge_mult[e]
+                if take >= alloc:
+                    split[e] += alloc
+                    break
                 split[e] += take
                 alloc -= take
-                if alloc == 0:
-                    break
-            placed[c] = deg[c]
+            else:
+                for e in fresh:
+                    take = edge_mult[e]
+                    if take >= alloc:
+                        split[e] = alloc
+                        break
+                    split[e] = take
+                    alloc -= take
     return SplitAssignment(inst, split)
 
 

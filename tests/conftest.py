@@ -52,6 +52,15 @@ def random_weighted(seed, nc=8, ns=4, p=0.5, max_weight=8, normalized=True):
     return normalize_weights(inst) if normalized else inst
 
 
+def support_degrees(mult: dict[tuple[int, int], int]) -> dict[int, int]:
+    deg: dict[int, int] = {}
+    for (c, s), x in mult.items():
+        if x > 0:
+            deg[c] = deg.get(c, 0) + x
+            deg[s] = deg.get(s, 0) + x
+    return deg
+
+
 def random_split_support(seed):
     """A random client-perfect split of a small weighted instance: each client
     spreads its weight over a prefix of its servers."""

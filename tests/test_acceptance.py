@@ -41,8 +41,8 @@ from semimatch.oracle import (
     residual_source_sink_distance,
     verify_expansion_lemma,
 )
-from semimatch.rounding import support_degrees
 from semimatch.solvers import InfeasibleError, b_schedule, short_path_bound, unit_schedule
+from conftest import support_degrees
 
 
 def report(capsys, num, ok, detail):

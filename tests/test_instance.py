@@ -3,6 +3,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semimatch import (
     InstanceError,
@@ -315,6 +317,27 @@ class TestFileIO:
         path = tmp_path / "w.json"
         write_instance(inst, path)
         assert read_instance(path).weight == inst.weight
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bytes_are_json_dumps_indent_1(self, tmp_path_factory, data):
+        # any ids on either side, weights past 32 bits, and possibly no edges
+        # (or no vertices) at all, so that empty lists render as []
+        ids = data.draw(st.permutations(range(data.draw(st.integers(0, 8)))))
+        nc = data.draw(st.integers(0, len(ids)))
+        clients, servers = sorted(ids[:nc]), sorted(ids[nc:])
+        pairs = [(c, s) for c in clients for s in servers]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        weight = {c: data.draw(st.integers(1, 1 << 40)) for c in clients}
+        inst = build_instance(clients, servers, edges, weight)
+        path = tmp_path_factory.mktemp("write") / "inst.json"
+        write_instance(inst, path)
+        doc = {
+            "clients": [{"id": c, "weight": inst.weight[c]} for c in inst.clients],
+            "servers": [{"id": s} for s in inst.servers],
+            "edges": [[c, s] for c, s in inst.edges],
+        }
+        assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
 
     def test_zero_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,7 @@ from semimatch import (
     star_round,
     split_assignment_seq,
 )
-from semimatch.rounding import support_degrees
-from conftest import random_split_support, random_weighted
+from conftest import random_split_support, random_weighted, support_degrees
 
 
 def is_forest(mult):
@@ -31,6 +32,46 @@ def supports(draw):
     inst = build_instance(range(nc), range(nc, nc + ns), edges)
     used = draw(st.lists(st.sampled_from(edges), unique=True) if edges else st.just([]))
     return inst, {e: draw(st.integers(1, 6)) for e in used}
+
+
+def full_support(a, b, units):
+    """K_a,b with every edge in the support, with multiplicities from
+    ``units()``."""
+    inst = build_instance(range(a), range(a, a + b), [(c, s) for c in range(a) for s in range(a, a + b)])
+    return inst, {e: units() for e in inst.edges}
+
+
+@st.composite
+def dense_and_split_supports(draw):
+    """A full K_a,b support with a, b <= 12 and random units, or a split in
+    the style of ``random_split_support``: weighted clients, each spreading
+    its weight over a prefix of its servers."""
+    a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return full_support(a, b, lambda: draw(st.integers(1, 9)))
+    servers = range(a, a + b)
+    adj = {c: draw(st.lists(st.sampled_from(servers), min_size=1, unique=True).map(sorted))
+           for c in range(a)}
+    weight = {c: draw(st.integers(1, 16)) for c in range(a)}
+    inst = build_instance(range(a), servers, [(c, s) for c in adj for s in adj[c]], weight)
+    mult = {}
+    for c, servers_of_c in adj.items():
+        left = weight[c]
+        for s in servers_of_c[:-1]:
+            units = draw(st.integers(0, left))
+            if units:
+                mult[(c, s)] = units
+                left -= units
+        if left:
+            mult[(c, servers_of_c[-1])] = left
+    return inst, mult
+
+
+def edges_minus_forest_bound(mult):
+    """Support edges minus (support vertices - components): 0 on a forest,
+    positive when the support has a cycle."""
+    graph = nx.Graph(list(mult))
+    return len(mult) - (graph.number_of_nodes() - nx.number_connected_components(graph))
 
 
 class TestFindSupportCycle:
@@ -112,6 +153,28 @@ class TestCancelCycles:
         assert is_forest(out)
         assert all(x > 0 for x in out.values())
         assert set(out) <= set(mult)
+        assert support_degrees(out) == support_degrees(mult)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_and_split_supports())
+    def test_dense_and_split_supports(self, case):
+        inst, mult = case
+        out = cancel_cycles(inst, mult)
+        assert support_degrees(out) == support_degrees(mult)
+        assert edges_minus_forest_bound(out) == 0
+        assert all(type(x) is int and x > 0 for x in out.values())
+        assert set(out) <= set(mult)
+        assert cancel_cycles(inst, out) == out
+
+    def test_full_k120_120_becomes_one_tree(self):
+        # units from a wide range, so no two edges of a cycle's lower
+        # alternation tie: each cancel zeroes one edge and the support stays
+        # connected, a spanning tree of the 240 vertices at the end
+        rng = random.Random(0)
+        inst, mult = full_support(120, 120, lambda: rng.randint(1, 10**6))
+        out = cancel_cycles(inst, mult)
+        assert len(out) == 239
+        assert edges_minus_forest_bound(out) == 0
         assert support_degrees(out) == support_degrees(mult)
 
 
