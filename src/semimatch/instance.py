@@ -15,6 +15,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -37,7 +38,8 @@ class Instance:
 
     clients / servers are disjoint dense id ranges covering [0, n), with no
     id repeated; edges join one client and one server; weights are positive
-    integers.
+    integers.  The constructor takes ids and edges as plain ints and pairs,
+    as ``build_instance`` and ``read_instance`` check them, and checks the rest.
 
     Construction sorts ``clients``, ``servers`` and ``edges``, and fills
     ``client_adj`` and ``server_adj`` in ascending id order.  Edge id e names
@@ -115,8 +117,8 @@ class Instance:
     def _check_weights(self) -> None:
         for c in self.clients:
             w = self.weight.get(c)
-            if w is None or w <= 0:
-                raise InstanceError(f"client {c} must have a positive weight, got {w}")
+            if type(w) is not int or w <= 0:  # a bool or a float is no weight
+                raise InstanceError(f"client {c} must have a positive int weight, got {w!r}")
 
     @property
     def n(self) -> int:
@@ -182,11 +184,24 @@ def build_instance(
     edges,
     weights: dict[int, int] | None = None,
 ) -> Instance:
-    """Construct a validated Instance; unit weights when ``weights`` is None."""
-    clients = tuple(clients)
+    """Construct a validated Instance; unit weights when ``weights`` is None.
+    ``InstanceError`` names first an id or an edge end that is not a plain
+    int (a bool or a float included) or an edge that is not a pair."""
+    clients, servers, edges = tuple(clients), tuple(servers), tuple(map(tuple, edges))
+    for kind, ids in (("client", clients), ("server", servers)):
+        if not set(map(type, ids)) <= {int}:
+            bad = next(v for v in ids if type(v) is not int)
+            raise InstanceError(f"{kind} id {bad!r} is not a plain int")
+    if not set(map(len, edges)) <= {2}:
+        bad = next(e for e in edges if len(e) != 2)
+        raise InstanceError(f"edge {bad} must be a (client, server) pair")
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:
+        c, s = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
+        end, kind = (c, "client") if type(c) is not int else (s, "server")
+        raise InstanceError(f"edge ({c}, {s}): {end} is not a {kind}")
     if weights is None:
         weights = {c: 1 for c in clients}
-    return Instance(clients, tuple(servers), tuple(map(tuple, edges)), dict(weights))
+    return Instance(clients, servers, edges, dict(weights))
 
 
 def normalize_weights(inst: Instance) -> Instance:
@@ -337,10 +352,10 @@ def generate_instance(name: str, seed: int = 0, **params) -> Instance:
     max_w = param("max_weight", int, 8)
     if max_w < 1:
         raise InstanceError("weighted-random requires max_weight >= 1")
-    base = _random_bipartite(rng, param("n_clients", int), param("n_servers", int),
+    inst = _random_bipartite(rng, param("n_clients", int), param("n_servers", int),
                              param("p", float))
-    weights = {c: rng.randint(1, max_w) for c in base.clients}
-    return build_instance(base.clients, base.servers, base.edges, weights)
+    inst.weight = {c: rng.randint(1, max_w) for c in inst.clients}  # only the weights are new
+    return inst
 
 
 def _random_bipartite(rng: random.Random, nc: int, ns: int, p: float) -> Instance:
@@ -468,7 +483,7 @@ def read_instance(path) -> Instance:
     if clients is None or servers is None or edges is None or min(clients[1]) <= 0:
         raise _first_bad_entry(path, doc)
     ids, weights = clients
-    try:
-        return build_instance(ids, servers[0], zip(*edges), dict(zip(ids, weights)))
+    try:  # plain ints and pairs, as checked above
+        return Instance(tuple(ids), tuple(servers[0]), tuple(zip(*edges)), dict(zip(ids, weights)))
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from exc

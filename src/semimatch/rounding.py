@@ -1,25 +1,19 @@
 """Rounding split assignments into integral ones.
 
-Two steps.  cancel_cycles removes every cycle from the support of a
-capacitated matching: it inserts the support's edges, in ascending edge id,
-into a rooted forest of parent pointers, and each edge that closes a cycle
-cancels that one cycle on the spot, with no search restarted and no vertex
-rescanned.  Every vertex degree is preserved and the support becomes a
-forest.  star_round then rounds the forest into server-centered stars,
-assigning each client wholly to one support server.
+A split assignment is an integral flow; rounding lays its support out as a
+forest and takes stars from it, as in Lenstra, Shmoys and Tardos' rounding
+for unrelated machines.  ``_cancel_walk`` inserts the support's edges, in
+ascending edge id, into a forest of parent pointers, and each edge that
+closes a cycle cancels that one cycle on the spot, preserving every vertex
+degree.  ``_stars`` re-roots each tree of that forest at its smallest vertex
+and assigns each client wholly to one support server.
 
-Both run on the instance's edge ids (see ``Instance``): a flat multiplicity
-per edge id, and per-vertex flat lists for the walks.  Edge ids sort like
-(c, s), so the smallest id on a cycle is its lexicographically smallest
-edge, and star_round's neighbour lists, filled from the support's ascending
-edge ids, are ascending at both ends.
-
-A ``SplitAssignment`` holds its units on edge ids already, as ``_split``
-builds them, so ``round_split`` runs the two walks back to back on a copy of
-them, with no dict and no lookup in between.  The public ``cancel_cycles``
-and ``star_round`` take and return dicts keyed by edge (c, s) and look every
-key up once: an entry that is not a plain int, a negative one, or a positive
-one on a key that is not an edge of the instance, raises ValueError.
+Both run on edge ids (see ``Instance``), ``round_split`` on a copy of the
+``SplitAssignment``'s list, with no dict in between.  The public
+``cancel_cycles`` and ``star_round`` take dicts keyed by edge (c, s) and
+look every key up once: an entry that is not a plain int, a negative one,
+or a positive one on a key that is not an edge of the instance, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -113,7 +107,7 @@ def cancel_cycles(inst: Instance, mult: Mapping[tuple[int, int], int]
     return {edges[e]: x[e] for e in ids if x[e]}
 
 
-def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> None:
+def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> list[int]:
     """Cancel every cycle of the support ``ids`` (ascending edge ids) in
     place in ``x``, the multiplicity of every edge id.
 
@@ -139,7 +133,8 @@ def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> None:
     degree, so at the end the support is a forest with the degrees it had.
     Nothing is rescanned: the cost is the sum of the root paths walked.
     Ids sort like (c, s), so the smallest id on a cycle is its
-    lexicographically smallest edge.
+    lexicographically smallest edge.  Returns the forest as each vertex's
+    parent, -1 at a root; on a forest support ``x`` stays unchanged.
     """
     edges, n = inst.edges, inst.n
     parent = [-1] * n
@@ -204,74 +199,62 @@ def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> None:
             v, p, f = next_v, v, next_f
         deg[a] += 1
         deg[b] += 1
+    return parent
 
 
 def star_round(inst: Instance, mult: Mapping[tuple[int, int], int]) -> dict[int, int]:
     """Round a forest-supported matching with client degrees equal to the
-    weights into an assignment.  See ``_star_walk``."""
-    return _star_walk(inst, *_support(inst, mult))
+    weights into an assignment; see ``_stars``, which rejects a cycle."""
+    ids, x = _support(inst, mult)
+    return _stars(inst, x, _cancel_walk(inst, ids, list(x)))
 
 
-def _star_walk(inst: Instance, ids: list[int], x: list[int]) -> dict[int, int]:
-    """The assignment ``star_round`` picks on the support ``ids`` (ascending
-    edge ids) with the multiplicity ``x[e]`` of every edge id.
+def _stars(inst: Instance, x: list[int], parent: list[int]) -> dict[int, int]:
+    """The assignment, in ascending client order, that star rounding picks
+    on the forest ``parent`` that ``_cancel_walk`` returned for ``x``.
 
-    Each support tree is rooted at its smallest-id vertex.  A client with a
-    child server assigns wholly to its smallest-id child; a childless client
-    assigns to its parent server.  Per server s the load is bounded by
-    x(delta(s)) + max assigned weight: at most one client assigns down into s
-    (its tree parent), and the clients assigning up into s account for at
-    most x(delta(s)) units.
-
-    Neighbour lists are filled from ``ids`` in ascending order, so each is
-    ascending.
+    Every client's units in ``x`` must sum to its weight, and then their
+    support must be that forest, one edge per vertex with a parent; else
+    ValueError.  Each tree is re-rooted in place at its smallest vertex, the
+    first of it an ascending pass meets, by reversing the pointers up to the
+    old root; the pass marks every vertex it walks, so it is O(n).  A client
+    with a child server assigns wholly to its smallest child, a childless
+    one to its parent.  Per server s the load is at most x(delta(s)) + max
+    assigned weight: at most one client assigns down into s (its tree
+    parent), and the clients assigning up into s account for at most
+    x(delta(s)) units.
     """
-    edges, n = inst.edges, inst.n
-    deg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in ids:
-        c, s = edges[e]
-        deg[c] += x[e]
-        adj[c].append(s)
-        adj[s].append(c)
+    client_adj, edge_start, weight = inst.client_adj, inst.edge_start, inst.weight
     for c in inst.clients:
-        if deg[c] != inst.weight[c]:
-            raise ValueError(f"client {c} has support degree {deg[c]}, "
-                             f"expected its weight {inst.weight[c]}")
-    # forest check: edges (distinct) <= vertices - components
-    n_vertices = sum(1 for vs in adj if vs)
-    seen = bytearray(n)
-    parent = [-1] * n
-    assignment: dict[int, int] = {}
-    components = 0
-    for root in range(n):
-        if seen[root] or not adj[root]:
-            continue
-        components += 1
-        order = [root]
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    parent[u] = v
-                    seen[u] = 1
-                    order.append(u)
-                    stack.append(u)
-        # a client root has a child: every neighbour of the root is one
-        for v in order:
-            if v in inst.client_adj:
-                assignment[v] = next((u for u in adj[v] if parent[u] == v), parent[v])
-    if len(ids) > n_vertices - components:
+        first = edge_start[c]
+        degree = sum(x[first:first + len(client_adj[c])])
+        if degree != weight[c]:
+            raise ValueError(f"client {c} has support degree {degree}, "
+                             f"expected its weight {weight[c]}")
+    n = inst.n
+    if inst.m - x.count(0) != n - parent.count(-1):
         raise ValueError("support contains a cycle; run cancel_cycles first")
-    return assignment
+    seen = bytearray(n)
+    for v in range(n):
+        u = v
+        while u >= 0 and not seen[u]:
+            seen[u] = 1
+            u = parent[u]
+        if u < 0:  # v is the first vertex of its tree: make it the root
+            u, p = v, -1
+            while u >= 0:
+                parent[u], u, p = p, parent[u], u
+    pick = parent.copy()  # a client with no child server assigns to its parent
+    for s in reversed(inst.servers):  # so that the smallest child is written last
+        if parent[s] >= 0:
+            pick[parent[s]] = s
+    return {c: pick[c] for c in inst.clients}
 
 
 def round_split(inst: Instance, split: SplitAssignment):
-    """cancel_cycles followed by star_round; returns a solvers.Assignment.
+    """Star rounding of the forest that cycle cancelling leaves of
+    ``split``, both on a copy of ``split.x``; returns a solvers.Assignment.
 
-    Both walks run on a copy of ``split.x``, from its ascending support ids.
     ``inst`` may be another instance than ``split.inst`` (a
     ``normalize_weights`` result, say), but its edges must be the same, so
     that the edge ids are; other edges raise ValueError.
@@ -281,7 +264,5 @@ def round_split(inst: Instance, split: SplitAssignment):
     if inst.edges != split.inst.edges:
         raise ValueError("the split is on another instance's edges")
     x = list(split.x)
-    ids = list(compress(range(inst.m), x))
-    _cancel_walk(inst, ids, x)
-    forest = [e for e in ids if x[e]]
-    return Assignment(inst, _star_walk(inst, forest, x))
+    parent = _cancel_walk(inst, list(compress(range(inst.m), x)), x)
+    return Assignment(inst, _stars(inst, x, parent))

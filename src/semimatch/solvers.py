@@ -366,8 +366,8 @@ def solve_backup(inst: Instance, r: int) -> MultiAssignment:
     B at which it is matched exactly r times, ignoring budgets with partial
     matches.  Weighted instances are routed through the per-class reduction.
     """
-    if r < 1:
-        raise ValueError("replication factor must be >= 1")
+    if type(r) is not int or r < 1:  # a bool or a float is no r
+        raise ValueError(f"replication factor r must be a plain int >= 1, got {r!r}")
     _check_feasible(inst, min_degree=r)
     if inst.is_unit_weight():
         chosen = _adopt(inst, unit_schedule(inst, r), r)

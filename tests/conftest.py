@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from semimatch import build_instance, generate_instance, is_client_perfect, normalize_weights
+from semimatch.rounding import _support
 
 
 @pytest.fixture
@@ -102,3 +103,57 @@ def heavy_instance():
     servers = range(1000, 1024)
     edges = [(c, 1000 + (c + i) % 24) for c in range(1000) for i in (0, 1)]
     return build_instance(range(1000), servers, edges, {c: 1024 for c in range(1000)})
+
+
+def reference_star_round(inst, mult):
+    """Star rounding by a DFS from ascending roots over neighbour lists of
+    its own, with the forest checked by counting components: the reference
+    that ``star_round`` and ``round_split`` are compared against.  ``mult``
+    is read by ``rounding._support``, as ``star_round`` reads it.
+
+    Each support tree is rooted at its smallest-id vertex.  A client with a
+    child server assigns wholly to its smallest-id child; a childless client
+    assigns to its parent server.  Neighbour lists are filled from the
+    support's ascending edge ids, so each is ascending.
+    """
+    ids, x = _support(inst, mult)
+    edges, n = inst.edges, inst.n
+    deg = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in ids:
+        c, s = edges[e]
+        deg[c] += x[e]
+        adj[c].append(s)
+        adj[s].append(c)
+    for c in inst.clients:
+        if deg[c] != inst.weight[c]:
+            raise ValueError(f"client {c} has support degree {deg[c]}, "
+                             f"expected its weight {inst.weight[c]}")
+    # forest check: edges (distinct) <= vertices - components
+    n_vertices = sum(1 for vs in adj if vs)
+    seen = bytearray(n)
+    parent = [-1] * n
+    assignment: dict[int, int] = {}
+    components = 0
+    for root in range(n):
+        if seen[root] or not adj[root]:
+            continue
+        components += 1
+        order = [root]
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if not seen[u]:
+                    parent[u] = v
+                    seen[u] = 1
+                    order.append(u)
+                    stack.append(u)
+        # a client root has a child: every neighbour of the root is one
+        for v in order:
+            if v in inst.client_adj:
+                assignment[v] = next((u for u in adj[v] if parent[u] == v), parent[v])
+    if len(ids) > n_vertices - components:
+        raise ValueError("support contains a cycle; run cancel_cycles first")
+    return assignment

@@ -93,6 +93,24 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             build_instance([0], [7], [(0, 7)])
 
+    @pytest.mark.parametrize("clients,servers,edges,weights,detail", [
+        ([True], [0], [(True, 0)], None, "client id True is not a plain int"),
+        ([1.0], [0], [(1, 0)], None, "client id 1.0 is not a plain int"),
+        ([0], [1.0], [(0, 1)], None, "server id 1.0 is not a plain int"),
+        ([0], [1], [(0, 1)], {0: True}, "client 0 must have a positive int weight, got True"),
+        ([0], [1], [(0, 1)], {0: 1.5}, "client 0 must have a positive int weight, got 1.5"),
+        ([0], [1], [(0, 1)], {0: "2"}, "client 0 must have a positive int weight, got '2'"),
+        ([0], [1], [(0, 1, 2)], None, "edge (0, 1, 2) must be a (client, server) pair"),
+        ([0], [1], [(0,)], None, "edge (0,) must be a (client, server) pair"),
+        ([0, 1], [2], [(0, 2), (1.0, 2)], None, "edge (1.0, 2): 1.0 is not a client"),
+        ([0, 1], [2], [(0, 2), (True, 2)], None, "edge (True, 2): True is not a client"),
+        ([0, 1], [2], [(0, 2), (1, 2.0)], None, "edge (1, 2.0): 2.0 is not a server"),
+    ])
+    def test_value_that_is_not_a_plain_int_named(self, clients, servers, edges, weights, detail):
+        with pytest.raises(InstanceError) as info:
+            build_instance(clients, servers, edges, weights)
+        assert str(info.value) == detail
+
 
 class TestNormalizeWeights:
     def test_power_of_two_rounding(self):

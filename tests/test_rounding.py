@@ -13,7 +13,12 @@ from semimatch import (
     star_round,
     split_assignment_seq,
 )
-from conftest import random_split_support, random_weighted, support_degrees
+from conftest import (
+    random_split_support,
+    random_weighted,
+    reference_star_round,
+    support_degrees,
+)
 
 
 def is_forest(mult):
@@ -65,6 +70,30 @@ def dense_and_split_supports(draw):
         if left:
             mult[(c, servers_of_c[-1])] = left
     return inst, mult
+
+
+@st.composite
+def weighted_supports(draw, split=False):
+    """A small instance, its ids clients first or interleaved at random, and
+    positive units on about half of each client's servers, often with
+    cycles.  Each client's weight is its support degree, so the units are a
+    split of the instance, except, unless ``split``, one client's at times."""
+    nc, ns = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ids = list(range(nc + ns))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(ids))
+    clients, servers = ids[:nc], ids[nc:]
+    mult = {}
+    for c in clients:
+        support = [s for s in servers if draw(st.booleans())] or [draw(st.sampled_from(servers))]
+        mult.update(((c, s), draw(st.integers(1, 5))) for s in support)
+    weight = {c: sum(mult.get((c, s), 0) for s in servers) for c in clients}
+    if not split and draw(st.booleans()):
+        c = draw(st.sampled_from(clients))
+        weight[c] = max(1, weight[c] + draw(st.sampled_from([-1, 1])))
+    edges = set(mult) | set(draw(st.lists(
+        st.tuples(st.sampled_from(clients), st.sampled_from(servers)), max_size=6)))
+    return build_instance(clients, servers, edges, weight), mult
 
 
 def edges_minus_forest_bound(mult):
@@ -336,3 +365,31 @@ class TestRoundSplit:
             assigned = [inst.weight[c] for c, s2 in a.mapping.items() if s2 == s]
             # rounding adds at most one extra client's weight on each server
             assert loads[s] <= split_loads[s] + (max(assigned) if assigned else 0)
+
+
+class TestStarStepMatchesReference:
+    """``star_round`` and ``round_split`` read the forest ``_cancel_walk``
+    leaves; the reference builds neighbour lists and runs a DFS of its own."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(weighted_supports(), st.booleans())
+    def test_star_round(self, case, cancel):
+        inst, mult = case
+        if cancel:
+            mult = cancel_cycles(inst, mult)
+        try:
+            expected = reference_star_round(inst, mult)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                star_round(inst, mult)
+            assert str(got.value) == str(exc)
+        else:
+            assert star_round(inst, mult) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_supports(split=True))
+    def test_round_split(self, case):
+        inst, mult = case
+        split = SplitAssignment(inst, [mult.get(e, 0) for e in inst.edges])
+        expected = reference_star_round(inst, cancel_cycles(inst, mult))
+        assert round_split(inst, split).mapping == expected

@@ -91,6 +91,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="replication factor"):
             run_simulation(inst, "congest-backup")
 
+    def test_congest_backup_rejects_a_bool_r(self):
+        # True would run as r = 1 and label every phase "r=True"
+        inst = random_unit(3, nc=6, ns=5, p=0.9)
+        with pytest.raises(ValueError, match="replication factor r must be a plain int"):
+            run_simulation(inst, "congest-backup", True)
+
     def test_result_identical_to_direct_solver(self):
         inst = random_unit(5, nc=10, ns=4, p=0.5)
         direct = solve_unweighted(inst)

@@ -294,6 +294,12 @@ class TestBackup:
         with pytest.raises(ValueError):
             solve_backup(chain, 0)
 
+    @pytest.mark.parametrize("r", [True, 2.0, "2"])
+    def test_r_not_a_plain_int(self, chain, r):
+        with pytest.raises(ValueError) as info:
+            solve_backup(chain, r)
+        assert str(info.value) == f"replication factor r must be a plain int >= 1, got {r!r}"
+
     @pytest.mark.parametrize("r", (2, 3))
     @pytest.mark.parametrize("seed", range(20))
     def test_ratio(self, seed, r):
