@@ -24,8 +24,9 @@ class InstanceError(ValueError):
     """Raised for malformed instance data (bad ids, weights, edges, files)."""
 
 
-def _next_pow2(x: int) -> int:
-    return 1 << (x - 1).bit_length() if x > 1 else 1
+def _ceil_log2(x: int) -> int:
+    """The least i >= 0 with 2**i >= x."""
+    return (x - 1).bit_length() if x > 1 else 0
 
 
 def _prev_pow2(x: int) -> int:
@@ -37,9 +38,9 @@ class Instance:
     """A bipartite load-balancing instance.
 
     clients / servers are disjoint dense id ranges covering [0, n), with no
-    id repeated; edges join one client and one server; weights are positive
-    integers.  The constructor takes ids and edges as plain ints and pairs,
-    as ``build_instance`` and ``read_instance`` check them, and checks the rest.
+    id repeated; edges are (client, server) pairs; weights are positive
+    integers.  Ids, edge ends and weights are plain ints (a bool or a float
+    is none), and the constructor checks all of it.
 
     Construction sorts ``clients``, ``servers`` and ``edges``, and fills
     ``client_adj`` and ``server_adj`` in ascending id order.  Edge id e names
@@ -66,7 +67,21 @@ class Instance:
         self._layout()
 
     def _validate(self) -> None:
-        """Check the parts and sort ``clients``, ``servers`` and ``edges``."""
+        """Check the parts and sort ``clients``, ``servers`` and ``edges``.
+        ``InstanceError`` names first an id or an edge end that is not a
+        plain int or an edge that is not a pair, before any is hashed."""
+        for kind, ids in (("client", self.clients), ("server", self.servers)):
+            if not set(map(type, ids)) <= {int}:
+                bad = next(v for v in ids if type(v) is not int)
+                raise InstanceError(f"{kind} id {bad!r} is not a plain int")
+        edges = self.edges
+        if not set(map(len, edges)) <= {2}:
+            bad = next(e for e in edges if len(e) != 2)
+            raise InstanceError(f"edge {bad} must be a (client, server) pair")
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            c, s = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
+            end, kind = (c, "client") if type(c) is not int else (s, "server")
+            raise InstanceError(f"edge ({c}, {s}): {end} is not a {kind}")
         cset, sset = set(self.clients), set(self.servers)
         for kind, ids, unique in (("client", self.clients, cset), ("server", self.servers, sset)):
             if len(ids) != len(unique):
@@ -184,23 +199,13 @@ def build_instance(
     edges,
     weights: dict[int, int] | None = None,
 ) -> Instance:
-    """Construct a validated Instance; unit weights when ``weights`` is None.
-    ``InstanceError`` names first an id or an edge end that is not a plain
-    int (a bool or a float included) or an edge that is not a pair."""
+    """Construct a validated Instance; unit weights when ``weights`` is None."""
     clients, servers, edges = tuple(clients), tuple(servers), tuple(map(tuple, edges))
-    for kind, ids in (("client", clients), ("server", servers)):
-        if not set(map(type, ids)) <= {int}:
-            bad = next(v for v in ids if type(v) is not int)
-            raise InstanceError(f"{kind} id {bad!r} is not a plain int")
-    if not set(map(len, edges)) <= {2}:
-        bad = next(e for e in edges if len(e) != 2)
-        raise InstanceError(f"edge {bad} must be a (client, server) pair")
-    if not set(map(type, chain.from_iterable(edges))) <= {int}:
-        c, s = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
-        end, kind = (c, "client") if type(c) is not int else (s, "server")
-        raise InstanceError(f"edge ({c}, {s}): {end} is not a {kind}")
     if weights is None:
-        weights = {c: 1 for c in clients}
+        try:
+            weights = dict.fromkeys(clients, 1)
+        except TypeError:  # an unhashable client id, which Instance names
+            weights = {}
     return Instance(clients, servers, edges, dict(weights))
 
 
@@ -224,7 +229,7 @@ def normalize_weights(inst: Instance) -> Instance:
         w = inst.weight[c]
         if W > n:
             w = math.ceil(w * n / W)
-        w = _next_pow2(w)
+        w = 1 << _ceil_log2(w)
         if w > n:
             w = cap
         new_w[c] = w
@@ -425,22 +430,20 @@ def read_json(path):
             raise InstanceError(f"{path}: JSON nested too deeply to decode") from None
 
 
-def _int_columns(entries: list, kind: type, fields: tuple) -> list[list[int]] | None:
-    """The column of each field over ``entries`` when every entry is a
-    ``kind`` (dict or list) of exactly ``fields`` and every value a plain
-    int, else None.  C-level passes only; type() rather than isinstance(),
-    since JSON true is a bool and a bool is an int."""
-    if not (set(map(type, entries)) <= {kind} and set(map(len, entries)) <= {len(fields)}):
+def _columns(entries: list, fields: tuple) -> list[list] | None:
+    """The column of each field over ``entries`` when every entry is an
+    object of exactly ``fields``, else None.  C-level passes only."""
+    if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {len(fields)}):
         return None
     try:
-        columns = [list(map(itemgetter(f), entries)) for f in fields]
+        return [list(map(itemgetter(f), entries)) for f in fields]
     except KeyError:  # an object with another key in place of a field
         return None
-    return columns if all(set(map(type, col)) <= {int} for col in columns) else None
 
 
-def _first_bad_entry(path, doc: dict) -> InstanceError:
-    """The field-level error of the first malformed entry of ``doc``."""
+def _first_bad_entry(path, doc: dict) -> InstanceError | None:
+    """The field-level error of the first malformed entry of ``doc``, or
+    None when every entry is well formed."""
     for key, fields in _ENTRY_FIELDS.items():
         need = " and ".join(repr(f) for f in fields)
         for i, entry in enumerate(doc[key]):
@@ -458,7 +461,7 @@ def _first_bad_entry(path, doc: dict) -> InstanceError:
             return InstanceError(
                 f"{path}: edges[{i}] must be a [client, server] pair of integer ids"
             )
-    raise AssertionError("no malformed entry")
+    return None
 
 
 def read_instance(path) -> Instance:
@@ -476,14 +479,17 @@ def read_instance(path) -> Instance:
             raise InstanceError(f"{path}: {key!r} must be a list")
     if not doc["clients"]:
         raise InstanceError(f"{path}: 'clients' must not be empty")
-    # checked in C-level passes; the per-entry walk only names a bad entry
-    clients = _int_columns(doc["clients"], dict, _ENTRY_FIELDS["clients"])
-    servers = _int_columns(doc["servers"], dict, _ENTRY_FIELDS["servers"])
-    edges = _int_columns(doc["edges"], list, (0, 1))
-    if clients is None or servers is None or edges is None or min(clients[1]) <= 0:
+    # the shape in C-level passes, and the client ids before they key the
+    # weights; Instance checks the rest, and the per-entry walk only names
+    # the first malformed entry
+    clients = _columns(doc["clients"], _ENTRY_FIELDS["clients"])
+    servers = _columns(doc["servers"], _ENTRY_FIELDS["servers"])
+    if (clients is None or servers is None or not set(map(type, clients[0])) <= {int}
+            or not set(map(type, doc["edges"])) <= {list}):
         raise _first_bad_entry(path, doc)
     ids, weights = clients
-    try:  # plain ints and pairs, as checked above
-        return Instance(tuple(ids), tuple(servers[0]), tuple(zip(*edges)), dict(zip(ids, weights)))
+    try:
+        return Instance(tuple(ids), tuple(servers[0]), tuple(map(tuple, doc["edges"])),
+                        dict(zip(ids, weights)))
     except InstanceError as exc:
-        raise InstanceError(f"{path}: {exc}") from exc
+        raise _first_bad_entry(path, doc) or InstanceError(f"{path}: {exc}") from exc

@@ -19,16 +19,15 @@ The engine is built from these pieces:
   servers with room in ascending order, with no search.
 * ``_bfs``, the forward layered breadth-first search.  Started from a given
   list of clients, it labels residual vertices by distance and stops once the
-  layer holding the nearest unsaturated server is complete (or at a length
-  limit).  When no server has room no path can end, so it returns at once.
+  layer holding the nearest unsaturated server is complete (or at a length limit).
 * ``_bfs_back``, the backward search.  Started from the servers with room, it
   labels residual vertices by their distance to room over reversed arcs and
   stops once the layer holding the nearest unsaturated client is complete.
   With D that client's distance, ``level[v] = D - dist[v]`` agrees with the
   forward labels on every shortest augmenting path.
-* ``_layers``, the side rule: a phase is layered from whichever side has
-  fewer free vertices, unsaturated clients forward or servers with room
-  backward.
+* ``_layers``, the one place that decides whether a phase can end (both
+  sides need a free vertex), and the side rule: a phase is layered from the
+  side with fewer, unsaturated clients forward or servers with room backward.
 * ``_blocking_phase``, which saturates that layered graph from its root
   clients with an iterative current-arc DFS.
 * ``_phases``, the one phase loop (Hopcroft-Karp 1973; Dinic 1970).  Its
@@ -219,8 +218,8 @@ def _bfs(state: CapMatching, roots: list[int], max_len: float = _INF):
     labels stop at the shortest augmenting-path length, Hopcroft-Karp style.
     Clients sit at even distances and servers at odd ones; servers with
     tau = 0 are left out of the residual graph.  An arc's multiplicity is
-    read only once its head is known to be unlabelled.  When no server has
-    room, no path can end: only the roots are labelled and ``end`` is None.
+    read only once its head is known to be unlabelled.  Whether any server
+    has room is ``_layers``' to decide, before it calls this search.
     """
     inst = state.inst
     mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
@@ -229,12 +228,6 @@ def _bfs(state: CapMatching, roots: list[int], max_len: float = _INF):
     level = [-1] * inst.n
     for c in roots:
         level[c] = 0
-    if not any(deg[s] < cap[s] for s in inst.servers):
-        return level, None
-    # vertices of each side still unlabelled: a scan toward a side with none
-    # left can label nothing, so it is skipped
-    clients_left = len(inst.clients) - len(roots)
-    servers_left = sum(1 for s in inst.servers if cap[s])
     end = None
     stop = max_len
     queue = deque(roots)
@@ -245,26 +238,20 @@ def _bfs(state: CapMatching, roots: list[int], max_len: float = _INF):
             continue
         d += 1
         if d & 1:  # client: forward over residual edge capacity
-            if not servers_left:
-                continue
             for e, s in enumerate(client_adj[v], edge_start[v]):
                 if level[s] >= 0 or cap[s] == 0 or mult[e] >= edge_cap:
                     continue
                 level[s] = d
-                servers_left -= 1
                 if deg[s] < cap[s]:
                     if end is None:
                         end, stop = s, d
                 else:
                     queue.append(s)
         else:  # server: backward over matched multiplicity
-            if not clients_left:
-                continue
             for i, c in enumerate(server_adj[v], edge_start[v]):
                 if level[c] >= 0 or not mult[server_edges[i]]:
                     continue
                 level[c] = d
-                clients_left -= 1
                 queue.append(c)
     return level, end
 
@@ -280,17 +267,16 @@ def _blocking_phase(state: CapMatching, roots: list[int], level: list[int],
     arc that led to a dead end.  ``path[i]`` sits at level i, so even
     positions are clients, and ``arcs[i]`` is the edge id from ``path[i]``
     to the next vertex.  An arc into the target layer is taken only when its
-    server has room, and it ends the path.
+    server has room, and it ends the path; the current-arc pointers bound
+    the dead ends at full servers to O(m) per phase.
     """
     inst = state.inst
     mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj = inst.client_adj, inst.server_adj
     edge_start, server_edges = inst.edge_start, inst.server_edges
     ptr = [0] * inst.n
-    # target-layer servers with room: once none is left, no path can end
-    open_ends = sum(1 for s in inst.servers if level[s] == target_len and deg[s] < cap[s])
     for c in roots:
-        while open_ends and deg[c] < cap[c]:
+        while deg[c] < cap[c]:
             path, arcs, limits = [c], [], [cap[c] - deg[c]]
             got = 0
             while path:
@@ -338,8 +324,6 @@ def _blocking_phase(state: CapMatching, roots: list[int], level: list[int],
                 mult[e] += -got if j & 1 else got
             deg[c] += got
             deg[u] += got
-            if deg[u] == cap[u]:
-                open_ends -= 1
 
 
 def _greedy_fill(state: CapMatching) -> bool:
@@ -357,6 +341,7 @@ def _greedy_fill(state: CapMatching) -> bool:
     mult, deg, cap, edge_cap = state.edge_mult, state.deg, state.cap, state.edge_cap
     client_adj, server_adj, edge_start = inst.client_adj, inst.server_adj, inst.edge_start
     # servers with room that some client reaches: once none is left, stop
+    # (small budgets fill every server early; seq-heavy's schedules: 30 -> 60 ms without)
     open_ends = sum(1 for s in inst.servers if cap[s] and server_adj[s])
     moved = False
     for c in inst.clients:
@@ -450,8 +435,8 @@ def _layers(state: CapMatching, max_len: float):
     forward from every unsaturated client; otherwise ``_bfs_back`` runs from
     every server with room, and only the vertices near them are labelled.
     Returns (roots, level, target_len) for ``_blocking_phase``, or None when
-    no augmenting path of length <= max_len is left, at once when either
-    side has no free vertex.
+    no augmenting path of length <= max_len is left.  This is the one place
+    that decides a phase can end: with either side empty, before any search.
     """
     deg, cap = state.deg, state.cap
     clients = state.free_clients()

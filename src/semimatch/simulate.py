@@ -20,9 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .instance import Instance, InstanceError, normalize_weights
+from .instance import Instance, InstanceError, _ceil_log2, normalize_weights
 from .solvers import (
-    _ceil_log2,
     b_schedule,
     short_path_bound,
     solve_backup,

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .instance import Instance, WeightClass, weight_classes
+from .instance import Instance, WeightClass, _ceil_log2, weight_classes
 from .matching import (
     CapacityProfile,
     blocking_flow_matching,
@@ -145,10 +145,6 @@ class MultiAssignment:
             for s in chosen:
                 loads[s] += self.inst.weight[c]
         return LoadVector(loads)
-
-
-def _ceil_log2(x: int) -> int:
-    return max(1, (x - 1).bit_length()) if x > 1 else 0
 
 
 def _check_feasible(inst: Instance, min_degree: int = 1) -> None:

@@ -340,6 +340,17 @@ class TestSolveReports:
         assert oracle["ratios"]["inf"] >= 1.0
         assert oracle["ratios"]["inf"] <= 8.0
 
+    def test_oracle_skipped_past_the_enumeration_cutoff(self, tmp_path, capsys):
+        # K_10,5: 5^10 assignments, past the cutoff of 10^6
+        path = tmp_path / "full.json"
+        write_instance(generate_instance("random-bipartite", n_clients=10, n_servers=5, p=1),
+                       path)
+        code, stdout, _ = run_cli(capsys, "solve", str(path), "--algo", "seq", "--oracle")
+        assert code == 0
+        report = json.loads(stdout)["oracle"]
+        assert report["skipped"] == "instance too large for oracle enumeration"
+        assert "ratios" not in report
+
     def test_extra_norm(self, unit_file, capsys):
         _, stdout, _ = run_cli(capsys, "solve", unit_file, "--algo", "seq", "--p", "4")
         assert "4.0" in json.loads(stdout)["norms"]
@@ -489,6 +500,20 @@ class TestVerify:
         assert code == 1
         assert stdout == ""
         assert "ALPHA must be a finite number > 1" in json.loads(err)["detail"]
+
+    def test_expansion_counterexample_names_its_client(self, empty_chain_matching, capsys,
+                                                       monkeypatch):
+        # the lemma makes a real counterexample unreachable, so the oracle
+        # reports one here
+        def counterexample(inst, kappa, tau, alpha, matching):
+            return oracle.ExpansionCounterexample(inst, matching, 2, 3)
+
+        monkeypatch.setattr(oracle, "verify_expansion_lemma", counterexample)
+        path, artifact = empty_chain_matching
+        code, stdout, _ = run_cli(capsys, "verify", path, artifact, "--check", "expansion:2")
+        assert code == 1
+        assert json.loads(stdout)["checks"] == [
+            {"check": "expansion:2", "pass": False, "witness_client": 2}]
 
     def test_budget_check(self, unit_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
@@ -694,6 +719,21 @@ class TestVerify:
         error = json.loads(err)
         assert error["error"] == "InstanceError"
         assert detail in error["detail"]
+
+    def test_matching_artifact_rejects_kappa_that_is_not_an_object(self, empty_chain_matching,
+                                                                   capsys):
+        path, artifact = empty_chain_matching
+        with open(artifact) as fh:
+            doc = json.load(fh)
+        doc["kappa"] = [1, 1, 1]
+        with open(artifact, "w") as fh:
+            json.dump(doc, fh)
+        code, stdout, err = run_cli(capsys, "verify", path, artifact,
+                                    "--check", "no-short-aug-paths:5")
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err) == {"error": "InstanceError",
+                                   "detail": "artifact kappa must be an object keyed by client id"}
 
     @pytest.mark.parametrize("check", ["validity", "cost-reducing"])
     @pytest.mark.parametrize("assignment, detail", [

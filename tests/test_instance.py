@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semimatch import (
+    Instance,
     InstanceError,
     build_instance,
     generate_instance,
@@ -84,6 +85,7 @@ class TestBuildInstance:
     @pytest.mark.parametrize("clients,servers,detail", [
         ([0, 0, 1], [2], "client id 0 is repeated"),
         ([0], [1, 1], "server id 1 is repeated"),
+        ([0, 1], [1, 2], r"client/server id overlap: \[1\]"),
     ])
     def test_repeated_id_rejected(self, clients, servers, detail):
         with pytest.raises(InstanceError, match=detail):
@@ -105,10 +107,24 @@ class TestBuildInstance:
         ([0, 1], [2], [(0, 2), (1.0, 2)], None, "edge (1.0, 2): 1.0 is not a client"),
         ([0, 1], [2], [(0, 2), (True, 2)], None, "edge (True, 2): True is not a client"),
         ([0, 1], [2], [(0, 2), (1, 2.0)], None, "edge (1, 2.0): 2.0 is not a server"),
+        # an unhashable id or end is named before any is hashed
+        ([[0]], [1], [(0, 1)], None, "client id [0] is not a plain int"),
+        ([0], [1], [(0, [1])], None, "edge (0, [1]): [1] is not a server"),
     ])
     def test_value_that_is_not_a_plain_int_named(self, clients, servers, edges, weights, detail):
         with pytest.raises(InstanceError) as info:
             build_instance(clients, servers, edges, weights)
+        assert str(info.value) == detail
+
+    @pytest.mark.parametrize("clients,servers,edges,weights,detail", [
+        ((True,), (0,), ((True, 0),), {True: 1}, "client id True is not a plain int"),
+        ((0,), (1.0,), ((0, 1.0),), {0: 1}, "server id 1.0 is not a plain int"),
+        ((0,), (1,), ((0, 1, 2),), {0: 1}, "edge (0, 1, 2) must be a (client, server) pair"),
+        ((0, 1), (2,), ((0, 2), (True, 2)), {0: 1, 1: 1}, "edge (True, 2): True is not a client"),
+    ])
+    def test_constructor_checks_ids_and_edges(self, clients, servers, edges, weights, detail):
+        with pytest.raises(InstanceError) as info:
+            Instance(clients, servers, edges, weights)
         assert str(info.value) == detail
 
 
@@ -305,6 +321,21 @@ class TestGenerators:
                            match="random-bipartite parameter 'p' must be a number"):
             generate_instance("random-bipartite", n_clients=5, n_servers=2, p=value)
 
+    @pytest.mark.parametrize("name,params,detail", [
+        ("star", {"n_clients": 0}, "star requires n_clients >= 1"),
+        ("disjoint-perfect", {"k": 0}, "disjoint-perfect requires k >= 1"),
+        ("power-law-degrees", {"n_clients": 0, "n_servers": 2},
+         "power-law-degrees parameters out of range"),
+        ("weighted-random", {"n_clients": 3, "n_servers": 2, "p": 0.5, "max_weight": 0},
+         "weighted-random requires max_weight >= 1"),
+        ("random-bipartite", {"n_clients": 3, "n_servers": 2, "p": 1.5},
+         "random-bipartite parameters out of range"),
+    ])
+    def test_parameter_out_of_range_named(self, name, params, detail):
+        with pytest.raises(InstanceError) as info:
+            generate_instance(name, **params)
+        assert str(info.value) == detail
+
     def test_float_parameter_takes_an_int(self):
         as_int = generate_instance("random-bipartite", seed=4, n_clients=5, n_servers=3, p=1)
         as_float = generate_instance("random-bipartite", seed=4, n_clients=5, n_servers=3, p=1.0)
@@ -413,6 +444,18 @@ class TestFileIO:
         good = {"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1}], "edges": [[0, 1]]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**good, **doc}))
+        with pytest.raises(InstanceError) as info:
+            read_instance(path)
+        assert str(info.value) == f"{path}: {detail}"
+
+    @pytest.mark.parametrize("text,detail", [
+        ("[1, 2]", "top-level value must be an object"),
+        ('{"clients": [{"id": 0, "weight": 1}], "servers": [{"id": 1}]}',
+         "missing field 'edges'"),
+    ])
+    def test_document_shape_named(self, tmp_path, text, detail):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(InstanceError) as info:
             read_instance(path)
         assert str(info.value) == f"{path}: {detail}"

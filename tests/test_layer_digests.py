@@ -16,6 +16,14 @@ solvers: each class's weight, the base vertex of each sub id and the
 sub-instance's edges.  They were recorded before the relabelling moved into
 ``weight_classes``, from the class views and ``induced_subinstance``
 it replaced.
+
+The engine digests hash what ``matching`` hands the solvers: ``edge_mult``
+and ``deg`` of every budget of ``split_schedule`` and of
+``unit_schedule`` with r = 1 and 2 (all of each schedule, not only up to
+the first client-perfect budget), and of both entry points on random
+profiles with zero taus and every kind of edge cap.  They were recorded
+before ``_layers`` became the only code that decides whether a phase can
+end.
 """
 
 import hashlib
@@ -25,14 +33,18 @@ import random
 import pytest
 
 from semimatch import (
+    CapacityProfile,
+    blocking_flow_matching,
     build_instance,
+    eliminate_short_paths,
+    generate_instance,
     cancel_cycles,
     normalize_weights,
     split_assignment_seq,
     star_round,
     weight_classes,
 )
-from semimatch.solvers import _split, unit_schedule
+from semimatch.solvers import _split, split_schedule, unit_schedule
 from conftest import random_split_support
 from test_golden import INSTANCES
 
@@ -142,3 +154,47 @@ def test_weight_class_subinstances(case):
     family, seed = case
     inst = interleaved(seed) if family == "interleaved" else INSTANCES[family](seed)
     assert class_digests(normalize_weights(inst)) == CLASSES[case]
+
+
+def engine_instance(family: str, seed: int):
+    rng = random.Random(seed)
+    nc, ns = rng.randint(4, 150), rng.randint(2, 40)
+    if family == "random-bipartite":
+        return generate_instance(family, seed=seed, n_clients=nc, n_servers=ns,
+                                 p=rng.choice((0.1, 0.3, 0.6)))
+    if family == "power-law-degrees":
+        return generate_instance(family, seed=seed, n_clients=nc, n_servers=ns,
+                                 exponent=rng.choice((1.5, 2.0, 3.0)))
+    return normalize_weights(generate_instance(family, seed=seed, n_clients=nc, n_servers=ns,
+                                               p=rng.choice((0.1, 0.3, 0.6)), max_weight=16))
+
+
+def engine_matchings(inst, seed: int):
+    """Every matching of the grid on ``inst``, in a fixed order."""
+    yield from (x for _, x in split_schedule(inst))
+    yield from (x for _, x in unit_schedule(inst, 1))
+    yield from (x for _, x in unit_schedule(inst, 2))
+    rng = random.Random(seed)
+    for edge_cap in (None, 1, 2):
+        profile = CapacityProfile({c: rng.randint(1, 4) for c in inst.clients},
+                                  {s: rng.randint(0, 3) for s in inst.servers}, edge_cap)
+        for length in (1, 3, 7):
+            yield eliminate_short_paths(inst, profile, length)
+            yield blocking_flow_matching(inst, profile, length)
+
+
+# family -> digest of (edge_mult, deg) of every matching on its 150 instances
+ENGINE = {
+    "power-law-degrees": "3bdf56b3bea46d12",
+    "random-bipartite": "ad8cebea0ff4aa2a",
+    "weighted-random": "a4961324fec8d72c",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ENGINE))
+def test_engine_matchings(family):
+    h = hashlib.sha256()
+    for seed in range(150):
+        for x in engine_matchings(engine_instance(family, seed), seed):
+            h.update(json.dumps([x.edge_mult, x.deg]).encode())
+    assert h.hexdigest()[:16] == ENGINE[family]

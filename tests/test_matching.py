@@ -209,21 +209,26 @@ class TestBlockingFlow:
 
 class TestFullServers:
     """Every server is full but clients still have room: no augmenting path
-    can end, so the search stops before it scans an arc."""
+    can end.  ``_layers`` decides that before any search; ``_bfs`` itself
+    labels the full servers and finds no end."""
 
     @pytest.fixture
     def full(self, chain):
         prof = CapacityProfile.uniform(chain, 2, 1)
         return chain, CapMatching(chain, prof, {(0, 3): 1, (1, 4): 1})
 
-    def test_bfs_labels_no_server(self, full):
+    def test_bfs_labels_no_server(self, full, monkeypatch):
         inst, x = full
         state = x
         roots = state.free_clients()
         assert roots == [0, 1, 2]
+        forward = count_calls(monkeypatch, matching, "_bfs")
+        backward = count_calls(monkeypatch, matching, "_bfs_back")
+        assert _layers(state, math.inf) is None
+        assert forward == [] and backward == []
         level, end = _bfs(state, roots)
         assert end is None
-        assert level == [0, 0, 0, -1, -1]
+        assert level == [0, 0, 0, 1, 1]
 
     def test_no_augmenting_path(self, full):
         inst, x = full
@@ -264,6 +269,21 @@ class TestCapMatching:
         # the failed add left the matching as it was
         assert m == CapMatching(inst, prof, {(1, 3): 1})
         assert (m.mult, m.client_deg, m.server_deg) == ({(1, 3): 1}, {0: 0, 1: 1}, {2: 0, 3: 1})
+
+    # the checked constructor and add keep every capacity, so the state is
+    # edited directly to see the checker fail
+    @pytest.mark.parametrize("list_name, index, message", [
+        ("deg", 0, r"client 0 over capacity: 2 > 1"),
+        ("deg", 3, r"server 3 over capacity: 2 > 1"),
+        ("edge_mult", 1, r"edge \(1, 3\) over capacity: 2 > 1"),
+    ])
+    def test_check_feasible_names_what_is_over_capacity(self, list_name, index, message):
+        inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
+        m = CapMatching(inst, CapacityProfile.uniform(inst, 1, 1, 1), {(0, 2): 1})
+        m.check_feasible()
+        getattr(m, list_name)[index] = 2
+        with pytest.raises(ValueError, match=message):
+            m.check_feasible()
 
     def test_add_and_remove(self):
         inst = build_instance([0, 1], [2, 3], [(0, 2), (1, 3)])
@@ -373,6 +393,9 @@ class TestCapacityProfile:
     @pytest.mark.parametrize("kappa, tau, message", [
         ({True: 1, 0: 1}, {2: 1, 3: 1}, "kappa key True is not a vertex id"),
         ({0: 1, 1: 1}, {2.0: 1, 3: 1}, "tau key 2.0 is not a vertex id"),
+        # and a capacity below its floor
+        ({0: 0}, {1: 1}, r"kappa\(0\) must be >= 1, got 0"),
+        ({0: 1}, {1: -1}, r"tau\(1\) must be >= 0, got -1"),
     ])
     def test_rejects_a_key_other_than_an_int(self, kappa, tau, message):
         with pytest.raises(ValueError, match=message):

@@ -14,6 +14,7 @@ from semimatch.oracle import (
     opt_minmax_unweighted,
     opt_power_sums,
     opt_split,
+    verify_expansion_lemma,
     verify_no_short_aug_paths,
 )
 from semimatch.solvers import InfeasibleError
@@ -46,6 +47,26 @@ class TestOptMinmax:
         inst = build_instance([0, 1], [2], [(0, 2)])
         with pytest.raises(InfeasibleError):
             opt_minmax_unweighted(inst)
+
+
+WEIGHTED = build_instance([0], [1], [(0, 1)], {0: 2})
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: opt_minmax_unweighted(WEIGHTED), "opt_minmax_unweighted requires unit weights"),
+    (lambda: find_cost_reducing_path(WEIGHTED, Assignment(WEIGHTED, {0: 1})),
+     "cost-reducing paths are defined for unit weights"),
+], ids=["opt_minmax_unweighted", "find_cost_reducing_path"])
+def test_unit_weight_oracles_reject_weights(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+@pytest.mark.parametrize("alpha", [1, 0.5])
+def test_expansion_lemma_rejects_alpha_at_most_one(chain, alpha):
+    prof = CapacityProfile.uniform(chain, 1, 2)
+    with pytest.raises(ValueError, match="alpha must exceed 1"):
+        verify_expansion_lemma(chain, prof.kappa, prof.tau, alpha, CapMatching(chain, prof))
 
 
 class TestVerifyNoShortAugPaths:
