@@ -50,8 +50,12 @@ def instance_digest(inst: Instance) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# (report key, p) of the norms every report gives
+_NORMS = (("1", 1), ("2", 2), ("3", 3), ("inf", math.inf))
+
+
 def _norms(lv, extra_p=()) -> dict:
-    out = {"1": lv.norm(1), "2": lv.norm(2), "3": lv.norm(3), "inf": lv.norm(math.inf)}
+    out = {key: lv.norm(p) for key, p in _NORMS}
     for p in extra_p:
         out[str(p)] = lv.norm(p)
     return out
@@ -97,13 +101,8 @@ def _oracle_comparison(inst: Instance, algo: Algorithm, r: int | None, lv) -> di
         if inst.is_unit_weight():
             out["opt_minmax"] = oracle_mod.opt_minmax_unweighted(inst)
         optima, _ = oracle_mod.opt_allnorm_enum(inst, (1, 2, 3, math.inf))
-        out["opt_norms"] = {
-            "1": optima[1], "2": optima[2], "3": optima[3], "inf": optima[math.inf]
-        }
-        out["ratios"] = {
-            key: _ratio(lv.norm(p), optima[p])
-            for key, p in (("1", 1), ("2", 2), ("3", 3), ("inf", math.inf))
-        }
+        out["opt_norms"] = {key: optima[p] for key, p in _NORMS}
+        out["ratios"] = {key: _ratio(lv.norm(p), optima[p]) for key, p in _NORMS}
     except oracle_mod.EnumerationTooLarge:
         out["skipped"] = "instance too large for oracle enumeration"
     return out
@@ -332,21 +331,10 @@ def cmd_verify(args) -> int:
 
 
 def _doubling_suite(lo: int, hi: int, seed: int) -> list[dict]:
-    suite = []
-    exp = lo
-    while exp <= hi:
-        n = 1 << exp
-        suite.append(
-            {
-                "generator": "weighted-random",
-                "params": {"n_clients": n // 2, "n_servers": n // 2, "p": min(1.0, 8 / n),
-                           "max_weight": 4},
-                "seed": seed,
-                "algo": "seq",
-            }
-        )
-        exp += 1
-    return suite
+    return [{"generator": "weighted-random",
+             "params": {"n_clients": n // 2, "n_servers": n // 2, "p": min(1.0, 8 / n),
+                        "max_weight": 4},
+             "seed": seed, "algo": "seq"} for n in (1 << exp for exp in range(lo, hi + 1))]
 
 
 _SUITE_KEYS = ("generator", "params", "seed", "algo", "r", "simulate", "oracle")

@@ -16,13 +16,14 @@
   client capacity r and simple (multiplicity-1) matchings.
 
 Both schedules, ``unit_schedule`` and ``split_schedule``, are lazy
-(B, CapMatching) generators; the solvers read each matching's flat lists on
-edge and vertex ids, never its (c, s)-keyed views.  ``_until_client_perfect``
-stops a schedule at its first client-perfect budget, past which no output
-changes.  Every solver stops there.  Draining a schedule
-(``dict(split_schedule(inst))``) is the one way to get every budget's
-matching, as ``--dump-matchings`` writes them; simulated traces charge the
-full schedule.
+(B, CapMatching) generators of ``_schedule``, the one budget loop; they
+differ only in budgets, kappa, edge cap and engine entry.  The solvers read
+each matching's flat lists on edge and vertex ids, never its (c, s)-keyed
+views.  ``_until_client_perfect`` stops a schedule at its first
+client-perfect budget, past which no output changes.  Every solver stops
+there.  Draining a schedule (``dict(split_schedule(inst))``) is the one way
+to get every budget's matching, as ``--dump-matchings`` writes them;
+simulated traces charge the full schedule.
 
 The per-weight-class reduction (``_per_class``) solves each class of
 ``weight_classes`` on its unit-weight sub-instance and maps the result back
@@ -165,6 +166,15 @@ def b_schedule(limit: int) -> list[int]:
     return [1 << i for i in range(_ceil_log2(limit) + 1)]
 
 
+def _schedule(inst: Instance, limit: int, kappa, edge_cap, engine, bound):
+    """The one budget loop: per budget B of ``b_schedule(limit)``, (B,
+    ``engine(inst, profile, bound)``), kappa and edge cap fixed, tau = 2B.
+    ``engine`` is a public entry, so a tracer or spy on it sees each budget."""
+    for B in b_schedule(limit):
+        tau = dict.fromkeys(inst.servers, 2 * B)
+        yield B, engine(inst, CapacityProfile(kappa, tau, edge_cap), bound)
+
+
 def unit_schedule(inst: Instance, r: int):
     """The doubling schedule of the client-expanded graph, run on the base
     graph, lazily: per budget B of ``b_schedule(n')``, (B, an (r*w, 2B)-matching
@@ -179,22 +189,16 @@ def unit_schedule(inst: Instance, r: int):
     with none, whichever copies hold the units.  With unit weights n' = n and
     kappa = r: the unit-weight schedule itself.
     """
-    k = short_path_bound(inst.n_expanded)
     kappa = {c: r * inst.weight[c] for c in inst.clients}
-    edge_cap = None if r == 1 else 1
-    for B in b_schedule(inst.n_expanded):
-        tau = {s: 2 * B for s in inst.servers}
-        yield B, eliminate_short_paths(inst, CapacityProfile(kappa, tau, edge_cap), k)
+    return _schedule(inst, inst.n_expanded, kappa, None if r == 1 else 1,
+                     eliminate_short_paths, short_path_bound(inst.n_expanded))
 
 
 def split_schedule(inst: Instance):
-    """The blocking-flow schedule, lazily: for each budget B, (B, a
-    (w, 2B)-matching computed by blocking-flow phases)."""
-    phases = 9 * _ceil_log2(inst.n_expanded)
-    kappa = dict(inst.weight)
-    for B in b_schedule(inst.n * inst.max_weight):
-        profile = CapacityProfile(kappa, {s: 2 * B for s in inst.servers})
-        yield B, blocking_flow_matching(inst, profile, phases)
+    """The blocking-flow schedule, lazily: for each budget B of b_schedule(n*W),
+    (B, a (w, 2B)-matching computed by 9*ceil(log2 n') blocking-flow phases)."""
+    return _schedule(inst, inst.n * inst.max_weight, dict(inst.weight), None,
+                     blocking_flow_matching, 9 * _ceil_log2(inst.n_expanded))
 
 
 def _until_client_perfect(inst: Instance, budgets):
@@ -208,12 +212,12 @@ def _until_client_perfect(inst: Instance, budgets):
     raise AssertionError("no budget matching of the schedule is client-perfect")
 
 
-def _adopt(inst: Instance, budgets, r: int) -> dict[int, tuple[int, ...]]:
-    """Client -> its matched servers, ascending, at the smallest budget at
-    which it is matched r times."""
+def _adopt(inst: Instance, r: int) -> dict[int, tuple[int, ...]]:
+    """Client -> its matched servers, ascending, at the smallest budget of
+    ``unit_schedule(inst, r)`` at which it is matched r times."""
     chosen: dict[int, tuple[int, ...]] = {}
     client_adj, edge_start = inst.client_adj, inst.edge_start
-    for x in _until_client_perfect(inst, budgets):
+    for x in _until_client_perfect(inst, unit_schedule(inst, r)):
         deg, edge_mult = x.deg, x.edge_mult
         for c in inst.clients:
             if c not in chosen and deg[c] == r:
@@ -229,7 +233,7 @@ def solve_unweighted(inst: Instance) -> Assignment:
     if not inst.is_unit_weight():
         raise ValueError("solve_unweighted requires unit weights")
     _check_feasible(inst)
-    chosen = _adopt(inst, unit_schedule(inst, 1), 1)
+    chosen = _adopt(inst, 1)
     return Assignment(inst, {c: s for c, (s,) in chosen.items()})
 
 
@@ -254,7 +258,7 @@ def solve_weighted_congest(inst: Instance) -> Assignment:
     each class subgraph (clients treated as unit weight) and combine."""
     _require_normalized(inst)
     _check_feasible(inst)
-    chosen = _per_class(inst, lambda cls: _adopt(cls.instance, unit_schedule(cls.instance, 1), 1))
+    chosen = _per_class(inst, lambda cls: _adopt(cls.instance, 1))
     return Assignment(inst, {c: s for c, (s,) in chosen.items()})
 
 
@@ -366,11 +370,10 @@ def solve_backup(inst: Instance, r: int) -> MultiAssignment:
         raise ValueError(f"replication factor r must be a plain int >= 1, got {r!r}")
     _check_feasible(inst, min_degree=r)
     if inst.is_unit_weight():
-        chosen = _adopt(inst, unit_schedule(inst, r), r)
+        chosen = _adopt(inst, r)
     else:
         _require_normalized(inst)
-        chosen = _per_class(
-            inst, lambda cls: _adopt(cls.instance, unit_schedule(cls.instance, r), r))
+        chosen = _per_class(inst, lambda cls: _adopt(cls.instance, r))
     return MultiAssignment(inst, r, chosen)
 
 

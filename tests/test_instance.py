@@ -110,6 +110,9 @@ class TestBuildInstance:
         # an unhashable id or end is named before any is hashed
         ([[0]], [1], [(0, 1)], None, "client id [0] is not a plain int"),
         ([0], [1], [(0, [1])], None, "edge (0, [1]): [1] is not a server"),
+        # an edge that is not iterable, in a list and in a one-shot iterator
+        ([0], [1], [5], None, "edge 5 must be a (client, server) pair"),
+        ([0, 1], [2], iter([(0, 2), 5, (1, 2)]), None, "edges must be (client, server) pairs"),
     ])
     def test_value_that_is_not_a_plain_int_named(self, clients, servers, edges, weights, detail):
         with pytest.raises(InstanceError) as info:
@@ -121,11 +124,27 @@ class TestBuildInstance:
         ((0,), (1.0,), ((0, 1.0),), {0: 1}, "server id 1.0 is not a plain int"),
         ((0,), (1,), ((0, 1, 2),), {0: 1}, "edge (0, 1, 2) must be a (client, server) pair"),
         ((0, 1), (2,), ((0, 2), (True, 2)), {0: 1, 1: 1}, "edge (True, 2): True is not a client"),
+        # an edge that is not a tuple: no length, unhashable, unindexable
+        ((0,), (1,), (5,), {0: 1}, "edge 5 must be a (client, server) tuple"),
+        ((0,), (1,), ([0, 1],), {0: 1}, "edge [0, 1] must be a (client, server) tuple"),
+        ((0, 1), (2,), ((0, 2), frozenset({1, 2})), {0: 1, 1: 1},
+         "edge frozenset({1, 2}) must be a (client, server) tuple"),
     ])
     def test_constructor_checks_ids_and_edges(self, clients, servers, edges, weights, detail):
         with pytest.raises(InstanceError) as info:
             Instance(clients, servers, edges, weights)
         assert str(info.value) == detail
+
+    @pytest.mark.parametrize("cache", ["client_adj", "server_adj", "edge_start", "server_edges"])
+    def test_derived_caches_are_not_parameters(self, cache):
+        with pytest.raises(TypeError, match=cache):
+            Instance((0,), (1,), ((0, 1),), {0: 1}, **{cache: {}})
+        # equality and repr read only the data the caches are derived from
+        inst = build_instance([0, 1], [2], [(1, 2), (0, 2)])
+        other = build_instance([0, 1], [2], [(0, 2), (1, 2)])
+        setattr(other, cache, None)
+        assert inst == other and repr(inst) == repr(other)
+        assert cache not in repr(inst)
 
 
 class TestNormalizeWeights:

@@ -138,6 +138,41 @@ class TestSchedules:
         assert b_schedule(8) == [1, 2, 4, 8]
 
 
+class TestBudgetCapacityRule:
+    """Every budget B of a doubling schedule is one call of its public engine
+    entry, with kappa fixed, tau = 2B at every server and the schedule's edge
+    cap and bound; no call is made before the first budget is asked for."""
+
+    @pytest.mark.parametrize("inst", [
+        random_unit(5, nc=12, ns=5, p=0.4),
+        random_weighted(5, nc=10, ns=4, p=0.5, max_weight=8),
+    ], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("which", ["unit-r1", "unit-r2", "split"])
+    def test_one_engine_call_per_budget(self, monkeypatch, inst, which):
+        n_exp = inst.n_expanded
+        if which == "split":
+            engine, r, edge_cap = "blocking_flow_matching", 1, None
+            budgets, bound = b_schedule(inst.n * inst.max_weight), 9 * math.ceil(math.log2(n_exp))
+        else:
+            engine, r = "eliminate_short_paths", int(which[-1])
+            edge_cap = None if r == 1 else 1
+            budgets, bound = b_schedule(n_exp), short_path_bound(n_exp)
+        calls = count_calls(monkeypatch, matching, engine)
+        schedule = split_schedule(inst) if which == "split" else unit_schedule(inst, r)
+        assert calls == []
+        first = next(schedule)
+        assert len(calls) == 1
+        pairs = [first, *schedule]
+        assert [B for B, _ in pairs] == budgets
+        assert len(calls) == len(budgets)
+        kappa = {c: r * inst.weight[c] for c in inst.clients}
+        for (B, x), (called_inst, profile, called_bound) in zip(pairs, calls):
+            assert called_inst is inst and called_bound == bound and profile is x.profile
+            assert profile.kappa == kappa
+            assert profile.tau == dict.fromkeys(inst.servers, 2 * B)
+            assert profile.edge_cap == edge_cap
+
+
 class TestUnweighted:
     def test_star(self, star4):
         a = solve_unweighted(star4)
