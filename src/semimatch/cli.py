@@ -25,16 +25,7 @@ from .instance import (
     write_instance,
 )
 from .matching import CapacityProfile, CapMatching
-from .simulate import (
-    REGISTRY,
-    Algorithm,
-    SimTrace,
-    by_name,
-    round_budget,
-    run_simulation,
-    simulated,
-    verify_message_budget,
-)
+from .simulate import REGISTRY, Algorithm, SimTrace, by_name, check_budget, run_simulation
 from .solvers import Assignment, InfeasibleError
 
 
@@ -298,23 +289,7 @@ def cmd_verify(args) -> int:
                     if verdict is not True:
                         entry["witness_client"] = verdict.client
             elif name == "budget":
-                trace = SimTrace.from_json(doc)
-                algo = simulated(trace.algorithm)
-                expected = round_budget(trace.algorithm, trace.n, trace.n_expanded)
-                # the trace must be of the instance this algorithm would solve
-                work, _ = algo.prepare(inst)
-                solved = {"n": work.n, "nExpanded": work.n_expanded}
-                traced = {"n": trace.n, "nExpanded": trace.n_expanded}
-                phase_sum = sum(p["rounds"] for p in trace.phases)
-                entry["pass"] = (trace.charged_rounds == expected == phase_sum
-                                 and verify_message_budget(trace)
-                                 and traced == solved)
-                entry["expected_rounds"] = expected
-                if traced != solved:
-                    entry["reason"] = f"trace of another instance: {traced}, instance {solved}"
-                elif phase_sum != trace.charged_rounds:
-                    entry["reason"] = (f"phase rounds sum to {phase_sum}, "
-                                       f"trace charges {trace.charged_rounds}")
+                entry.update(check_budget(SimTrace.from_json(doc), inst))
             else:
                 raise ValueError(f"unknown check {name!r}")
         except (KeyError, TypeError) as exc:

@@ -38,9 +38,10 @@ class Instance:
     """A bipartite load-balancing instance.
 
     clients / servers are disjoint dense id ranges covering [0, n), with no
-    id repeated; edges are (client, server) pairs; weights are positive
-    integers.  Ids, edge ends and weights are plain ints (a bool or a float
-    is none), and the constructor checks all of it.
+    id repeated; edges are (client, server) tuples, a namedtuple none
+    (``build_instance`` converts any pair); weights are positive integers.
+    Ids, edge ends and weights are plain ints (a bool or a float is none),
+    and the constructor checks all of it.
 
     Construction sorts ``clients``, ``servers`` and ``edges``, and fills
     ``client_adj`` and ``server_adj`` in ascending id order.  Edge id e names
@@ -68,45 +69,44 @@ class Instance:
 
     def _validate(self) -> None:
         """Check the parts and sort ``clients``, ``servers`` and ``edges``.
-        ``InstanceError`` names first an id or an edge end that is not a
-        plain int or an edge that is not a pair, before any is hashed, and
-        an edge that is not a tuple where reading it fails."""
+        ``InstanceError`` names first an id that is not a plain int, an edge
+        that is not a tuple or not a pair, or an edge end that is not a plain
+        int, before any is hashed."""
         for kind, ids in (("client", self.clients), ("server", self.servers)):
             if not set(map(type, ids)) <= {int}:
                 bad = next(v for v in ids if type(v) is not int)
                 raise InstanceError(f"{kind} id {bad!r} is not a plain int")
         edges = self.edges
-        try:
-            if not set(map(len, edges)) <= {2}:
-                bad = next(e for e in edges if len(e) != 2)
-                raise InstanceError(f"edge {bad} must be a (client, server) pair")
-            if not set(map(type, chain.from_iterable(edges))) <= {int}:
-                c, s = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
-                end, kind = (c, "client") if type(c) is not int else (s, "server")
-                raise InstanceError(f"edge ({c}, {s}): {end} is not a {kind}")
-            cset, sset = set(self.clients), set(self.servers)
-            for kind, ids, unique in (("client", self.clients, cset),
-                                      ("server", self.servers, sset)):
-                if len(ids) != len(unique):
-                    repeated = next(i for i, count in Counter(ids).items() if count > 1)
-                    raise InstanceError(f"{kind} id {repeated} is repeated")
-            if cset & sset:
-                raise InstanceError(f"client/server id overlap: {sorted(cset & sset)[:5]}")
-            n = len(cset) + len(sset)
-            if cset | sset != set(range(n)):
-                raise InstanceError("ids must be dense integers in [0, n)")
-            if len(self.edges) != len(set(self.edges)):
-                raise InstanceError("duplicate edges are not allowed")
-            if not (cset.issuperset(map(itemgetter(0), self.edges))
-                    and sset.issuperset(map(itemgetter(1), self.edges))):
-                for c, s in self.edges:  # name the first edge with a bad end
-                    if c not in cset:
-                        raise InstanceError(f"edge ({c}, {s}): {c} is not a client")
-                    if s not in sset:
-                        raise InstanceError(f"edge ({c}, {s}): {s} is not a server")
-        except TypeError:  # an edge that is not a tuple: no length, unhashable or unindexable
+        if not set(map(type, edges)) <= {tuple}:
             bad = next(e for e in edges if type(e) is not tuple)
-            raise InstanceError(f"edge {bad!r} must be a (client, server) tuple") from None
+            raise InstanceError(f"edge {bad!r} must be a (client, server) tuple")
+        if not set(map(len, edges)) <= {2}:
+            bad = next(e for e in edges if len(e) != 2)
+            raise InstanceError(f"edge {bad} must be a (client, server) pair")
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            c, s = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
+            end, kind = (c, "client") if type(c) is not int else (s, "server")
+            raise InstanceError(f"edge ({c}, {s}): {end} is not a {kind}")
+        cset, sset = set(self.clients), set(self.servers)
+        for kind, ids, unique in (("client", self.clients, cset),
+                                  ("server", self.servers, sset)):
+            if len(ids) != len(unique):
+                repeated = next(i for i, count in Counter(ids).items() if count > 1)
+                raise InstanceError(f"{kind} id {repeated} is repeated")
+        if cset & sset:
+            raise InstanceError(f"client/server id overlap: {sorted(cset & sset)[:5]}")
+        n = len(cset) + len(sset)
+        if cset | sset != set(range(n)):
+            raise InstanceError("ids must be dense integers in [0, n)")
+        if len(self.edges) != len(set(self.edges)):
+            raise InstanceError("duplicate edges are not allowed")
+        if not (cset.issuperset(map(itemgetter(0), self.edges))
+                and sset.issuperset(map(itemgetter(1), self.edges))):
+            for c, s in self.edges:  # name the first edge with a bad end
+                if c not in cset:
+                    raise InstanceError(f"edge ({c}, {s}): {c} is not a client")
+                if s not in sset:
+                    raise InstanceError(f"edge ({c}, {s}): {s} is not a server")
         self._check_weights()
         self.clients = tuple(sorted(self.clients))
         self.servers = tuple(sorted(self.servers))
@@ -209,8 +209,10 @@ def build_instance(
     clients, servers = tuple(clients), tuple(servers)
     try:
         edges = tuple(map(tuple, edges))
-    except TypeError:  # an edge that is not iterable, named unless edges ran out
-        bad = [e for e in edges if not hasattr(e, "__iter__")][:1]
+    except TypeError:  # edges or an edge that is not iterable; the edge is named
+        # unless edges is none or an iterator that already ran past it
+        bad = ([e for e in edges if not hasattr(e, "__iter__")][:1]
+               if hasattr(edges, "__iter__") else [])
         raise InstanceError(f"edge {bad[0]!r} must be a (client, server) pair" if bad
                             else "edges must be (client, server) pairs") from None
     if weights is None:

@@ -27,6 +27,10 @@ class EnumerationTooLarge(Exception):
     """The assignment space exceeds the configured enumeration cutoff."""
 
 
+# the most assignments (or r-placements) an exhaustive oracle enumerates
+_ENUM_LIMIT = 10**6
+
+
 # ---------------------------------------------------------------------------
 # Flow feasibility (networkx side)
 # ---------------------------------------------------------------------------
@@ -118,7 +122,7 @@ def _picks(inst: Instance, r: int, limit: int):
 def opt_allnorm_enum(
     inst: Instance,
     p_list=(1, 2, 3, math.inf),
-    max_assignments: int = 10**6,
+    max_assignments: int = _ENUM_LIMIT,
 ) -> tuple[dict, Assignment | None]:
     """Exhaustive per-norm optima; for unit weights also the canonical
     all-norm optimal assignment.
@@ -167,9 +171,7 @@ def opt_allnorm_enum(
     return optima, witness
 
 
-def opt_power_sums(
-    inst: Instance, p_list=(2, 3), max_assignments: int = 10**6
-) -> dict[int, int]:
+def opt_power_sums(inst: Instance, p_list=(2, 3)) -> dict[int, int]:
     """Exact minimum sum of p-th powers of loads over all assignments, per p.
 
     Integer-valued, so approximation-ratio checks can avoid float tolerance:
@@ -177,7 +179,7 @@ def opt_power_sums(
     """
     _check_degrees(inst)
     best: dict[int, int | None] = {p: None for p in p_list}
-    for _, values in _picks(inst, 1, max_assignments):
+    for _, values in _picks(inst, 1, _ENUM_LIMIT):
         for p in p_list:
             total = sum(v**p for v in values)
             if best[p] is None or total < best[p]:
@@ -185,13 +187,13 @@ def opt_power_sums(
     return best
 
 
-def opt_backup_enum(inst: Instance, r: int, max_combinations: int = 10**6) -> int:
+def opt_backup_enum(inst: Instance, r: int) -> int:
     """Exact backup-placement optimum by exhaustive r-subset enumeration."""
     _check_degrees(inst)
     for c in inst.clients:
         if inst.degree(c) < r:
             raise InfeasibleError(f"client {c} has degree < {r}", client=c)
-    return min(max(values) for _, values in _picks(inst, r, max_combinations))
+    return min(max(values) for _, values in _picks(inst, r, _ENUM_LIMIT))
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +363,13 @@ class LevelMap:
     client_level: dict[int, int]
 
 
-def levels(inst: Instance, max_assignments: int = 10**6) -> LevelMap:
+def levels(inst: Instance) -> LevelMap:
     """Levels from the canonical all-norm optimum; asserts the no-downhill
     adjacency property (no client adjacent to a server two levels below its
     own) before returning."""
     if not inst.is_unit_weight():
         raise ValueError("levels require unit weights")
-    _, witness = opt_allnorm_enum(inst, (2, math.inf), max_assignments)
+    _, witness = opt_allnorm_enum(inst, (2, math.inf))
     assert witness is not None
     loads = witness.load_vector().loads
     client_level = {c: loads[witness.mapping[c]] for c in inst.clients}

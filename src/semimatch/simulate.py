@@ -10,8 +10,10 @@ charge matches the closed-form budget exactly.
 
 ``REGISTRY`` is the one table of the suite's algorithms; the CLI, its bench
 and ``run_simulation`` all dispatch through it.  Each distributed entry names
-its model, which fixes the per-edge bandwidth of a simulation: 32 * ceil(log2 n)
-bits per message in CONGEST, unbounded in LOCAL.
+its model, which fixes the per-edge bandwidth of a trace: 32 * ceil(log2 n)
+bits per message in CONGEST, unbounded in LOCAL, checked when a trace is
+verified (``verify_message_budget``), not by ``emit``.  ``check_budget`` is
+the verdict ``verify --check budget`` prints.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ from .solvers import (
 )
 
 
-class BandwidthExceededError(Exception):
-    def __init__(self, round_index: int, edge: tuple[int, int], bits: int, limit: int):
-        super().__init__(
-            f"round {round_index}: message of {bits} bits on edge {edge} exceeds {limit}"
-        )
-        self.round_index = round_index
-        self.edge = edge
-        self.bits = bits
-
-
 @dataclass
 class SimTrace:
     """Audit record: per-phase charged rounds plus explicitly simulated
@@ -60,10 +52,7 @@ class SimTrace:
         self.phases.append({"label": label, "rounds": rounds})
         self.charged_rounds += rounds
 
-    def emit(self, round_index: int, edge: tuple[int, int], bits: int,
-             limit: int | None) -> None:
-        if limit is not None and bits > limit:
-            raise BandwidthExceededError(round_index, edge, bits, limit)
+    def emit(self, round_index: int, edge: tuple[int, int], bits: int) -> None:
         self.messages.append({"round": round_index, "edge": list(edge), "bits": bits})
 
     def to_json(self) -> dict:
@@ -252,14 +241,6 @@ def round_budget(algorithm: str, n: int, n_expanded: int | None = None) -> int:
     return _local_charge(nt) + _local_charge(n)
 
 
-def _bandwidth_bits(algorithm: str, n: int) -> int | None:
-    """Bits one message may carry per edge per round in ``algorithm``'s
-    model: 32 * ceil(log2 n) in CONGEST, None (unbounded) in LOCAL."""
-    if simulated(algorithm).model == "LOCAL":
-        return None
-    return 32 * _ceil_log2(max(2, n))
-
-
 def run_simulation(inst: Instance, algorithm: str, r: int | None = None):
     """Execute a solver under round accounting, in the model the algorithm's
     table entry names; ``r`` is required by congest-backup only.
@@ -272,7 +253,6 @@ def run_simulation(inst: Instance, algorithm: str, r: int | None = None):
 
     n = inst.n
     trace = SimTrace(algorithm, n, inst.n_expanded)
-    limit = _bandwidth_bits(algorithm, n)
     msg_bits = _ceil_log2(max(2, n))
 
     result = algo.solve(inst, r)
@@ -281,18 +261,40 @@ def run_simulation(inst: Instance, algorithm: str, r: int | None = None):
 
     # announcement: each client tells its chosen server(s); piggybacks on the
     # final charged round (charged 0 additional rounds)
-    trace.phases.append({"label": "announce", "rounds": 0})
+    trace.charge("announce", 0)
     final_round = trace.charged_rounds
     for c, chosen in sorted(result.mapping.items()):
         for s in (chosen if algo.takes_r else (chosen,)):
-            trace.emit(final_round, (c, s), msg_bits, limit)
+            trace.emit(final_round, (c, s), msg_bits)
     return result, trace
 
 
 def verify_message_budget(trace: SimTrace) -> bool:
     """True iff every explicitly simulated message fits the per-edge
     bandwidth of the traced algorithm's model."""
-    limit = _bandwidth_bits(trace.algorithm, trace.n)
-    if limit is None:
+    if simulated(trace.algorithm).model == "LOCAL":
         return True
+    limit = 32 * _ceil_log2(max(2, trace.n))
     return all(msg["bits"] <= limit for msg in trace.messages)
+
+
+def check_budget(trace: SimTrace, inst: Instance) -> dict:
+    """The verdict ``verify --check budget`` prints: ``pass`` iff the trace's
+    charge, ``round_budget`` and its phase sum agree, its messages fit the
+    bandwidth and its sizes are those of ``inst`` as its algorithm prepares
+    it; ``expected_rounds``; and the ``reason`` it fails, where one is named."""
+    algo = simulated(trace.algorithm)
+    expected = round_budget(trace.algorithm, trace.n, trace.n_expanded)
+    work, _ = algo.prepare(inst)
+    solved = {"n": work.n, "nExpanded": work.n_expanded}
+    traced = {"n": trace.n, "nExpanded": trace.n_expanded}
+    phase_sum = sum(p["rounds"] for p in trace.phases)
+    verdict = {"pass": (trace.charged_rounds == expected == phase_sum
+                        and verify_message_budget(trace) and traced == solved),
+               "expected_rounds": expected}
+    if traced != solved:
+        verdict["reason"] = f"trace of another instance: {traced}, instance {solved}"
+    elif phase_sum != trace.charged_rounds:
+        verdict["reason"] = (f"phase rounds sum to {phase_sum}, "
+                             f"trace charges {trace.charged_rounds}")
+    return verdict

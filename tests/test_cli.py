@@ -635,6 +635,56 @@ class TestVerify:
         assert report["pass"] is passes
         assert report["checks"][0]["pass"] is passes
 
+    @pytest.mark.parametrize("algo,r,traced,verified,edit,stdout", [
+        ("congest-unweighted", None, lambda: random_unit(1), None, None,
+         '{\n "checks": [\n  {\n   "check": "budget",\n   "pass": true,\n'
+         '   "expected_rounds": 98260\n  }\n ],\n "pass": true\n}\n'),
+        ("congest-weighted", None,
+         lambda: random_weighted(2, nc=20, ns=10, p=0.3, normalized=False), None, None,
+         '{\n "checks": [\n  {\n   "check": "budget",\n   "pass": true,\n'
+         '   "expected_rounds": 277830\n  }\n ],\n "pass": true\n}\n'),
+        ("local-weighted", None, lambda: random_weighted(1, normalized=False), None, None,
+         '{\n "checks": [\n  {\n   "check": "budget",\n   "pass": true,\n'
+         '   "expected_rounds": 4906\n  }\n ],\n "pass": true\n}\n'),
+        ("backup", 2, lambda: random_unit(3, nc=30, ns=10, p=0.8), None, None,
+         '{\n "checks": [\n  {\n   "check": "budget",\n   "pass": true,\n'
+         '   "expected_rounds": 656250\n  }\n ],\n "pass": true\n}\n'),
+        ("congest-unweighted", None, lambda: random_unit(1, nc=200, ns=50, p=0.05),
+         lambda: random_unit(1, nc=20, ns=5, p=0.5), None,
+         '{\n "checks": [\n  {\n   "check": "budget",\n   "pass": false,\n'
+         '   "expected_rounds": 2587464,\n   "reason": "trace of another instance: '
+         "{'n': 250, 'nExpanded': 250}, instance {'n': 25, 'nExpanded': 25}\"\n"
+         '  }\n ],\n "pass": false\n}\n'),
+        ("congest-unweighted", None, lambda: random_unit(1), None,
+         lambda doc: doc["phases"][0].update(rounds=doc["phases"][0]["rounds"] + 1),
+         '{\n "checks": [\n  {\n   "check": "budget",\n   "pass": false,\n'
+         '   "expected_rounds": 98260,\n'
+         '   "reason": "phase rounds sum to 98261, trace charges 98260"\n'
+         '  }\n ],\n "pass": false\n}\n'),
+    ], ids=["congest-unweighted", "congest-weighted", "local-weighted", "congest-backup-r2",
+            "another-instance", "phases-miss-charge"])
+    def test_budget_verdict_printed(self, tmp_path, capsys, algo, r, traced, verified, edit,
+                                    stdout):
+        """The report of ``verify --check budget`` on a simulated solve's
+        trace, byte for byte: the verdict's fields, their order, texts and
+        exit codes for each simulated algorithm, a trace of another instance
+        and a trace whose phases miss its charge."""
+        inst_path, trace_path = tmp_path / "inst.json", tmp_path / "trace.json"
+        write_instance(traced(), inst_path)
+        code, _, err = run_cli(capsys, "solve", str(inst_path), "--algo", algo, "--simulate",
+                               "--trace-out", str(trace_path), *(["--r", str(r)] if r else []))
+        assert code == 0, err
+        if edit is not None:
+            doc = json.loads(trace_path.read_text())
+            edit(doc)
+            trace_path.write_text(json.dumps(doc))
+        if verified is not None:
+            write_instance(verified(), inst_path)
+        code, out, _ = run_cli(capsys, "verify", str(inst_path), str(trace_path),
+                               "--check", "budget")
+        assert out == stdout
+        assert code == (0 if stdout.endswith('"pass": true\n}\n') else 1)
+
     @pytest.mark.parametrize("edge_cap", [{"0,4": 1}, True, 0, 1.5])
     def test_matching_artifact_rejects_bad_edge_cap(self, unit_file, tmp_path, capsys,
                                                     edge_cap):

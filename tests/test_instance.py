@@ -113,6 +113,8 @@ class TestBuildInstance:
         # an edge that is not iterable, in a list and in a one-shot iterator
         ([0], [1], [5], None, "edge 5 must be a (client, server) pair"),
         ([0, 1], [2], iter([(0, 2), 5, (1, 2)]), None, "edges must be (client, server) pairs"),
+        # edges that are not iterable at all
+        ([0], [1], 5, None, "edges must be (client, server) pairs"),
     ])
     def test_value_that_is_not_a_plain_int_named(self, clients, servers, edges, weights, detail):
         with pytest.raises(InstanceError) as info:
@@ -129,6 +131,11 @@ class TestBuildInstance:
         ((0,), (1,), ([0, 1],), {0: 1}, "edge [0, 1] must be a (client, server) tuple"),
         ((0, 1), (2,), ((0, 2), frozenset({1, 2})), {0: 1, 1: 1},
          "edge frozenset({1, 2}) must be a (client, server) tuple"),
+        # a pair that is no tuple, read as one or failing only when sorted
+        ((0,), (1,), (b"\x00\x01",), {0: 1},
+         "edge b'\\x00\\x01' must be a (client, server) tuple"),
+        ((0, 1), (2,), ((0, 2), b"\x01\x02"), {0: 1, 1: 1},
+         "edge b'\\x01\\x02' must be a (client, server) tuple"),
     ])
     def test_constructor_checks_ids_and_edges(self, clients, servers, edges, weights, detail):
         with pytest.raises(InstanceError) as info:

@@ -14,7 +14,6 @@ from semimatch import (
 )
 from semimatch.simulate import (
     ALGORITHMS,
-    BandwidthExceededError,
     SimTrace,
 )
 from conftest import random_unit, random_weighted
@@ -121,11 +120,6 @@ class TestRunSimulation:
 
 
 class TestBandwidth:
-    def test_emit_over_limit_raises(self):
-        trace = SimTrace("congest-unweighted", 8, 8)
-        with pytest.raises(BandwidthExceededError):
-            trace.emit(1, (0, 4), bits=1000, limit=96)
-
     def test_verify_message_budget_local_always_true(self, chain):
         _, trace = run_simulation(chain, "local-weighted")
         assert verify_message_budget(trace)
@@ -167,7 +161,7 @@ class TestTraceSerialization:
         for label, rounds in phases:
             trace.charge(label, rounds)
         for round_index, c, s, bits in messages:
-            trace.emit(round_index, (c, s), bits, None)
+            trace.emit(round_index, (c, s), bits)
         path = tmp_path_factory.getbasetemp() / "written-trace.json"
         trace.write(path)
         assert path.read_bytes() == (json.dumps(trace.to_json(), indent=1) + "\n").encode()
