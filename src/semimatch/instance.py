@@ -86,7 +86,7 @@ class Instance:
         if not set(map(type, chain.from_iterable(edges))) <= {int}:
             c, s = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
             end, kind = (c, "client") if type(c) is not int else (s, "server")
-            raise InstanceError(f"edge ({c}, {s}): {end} is not a {kind}")
+            raise InstanceError(f"edge ({c!r}, {s!r}): {end!r} is not a {kind}")
         cset, sset = set(self.clients), set(self.servers)
         for kind, ids, unique in (("client", self.clients, cset),
                                   ("server", self.servers, sset)):

@@ -3,10 +3,12 @@
 A split assignment is an integral flow; rounding lays its support out as a
 forest and takes stars from it, as in Lenstra, Shmoys and Tardos' rounding
 for unrelated machines.  ``_cancel_walk`` inserts the support's edges, in
-ascending edge id, into a forest of parent pointers, and each edge that
+ascending edge id, into a forest of parent pointers whose one rooting rule
+keeps the client end of each inserted edge a root, and each edge that
 closes a cycle cancels that one cycle on the spot, preserving every vertex
 degree.  ``_stars`` re-roots each tree of that forest at its smallest vertex
-and assigns each client wholly to one support server.
+and assigns each client wholly to one support server, so how the walk
+roots the forest never reaches an assignment.
 
 Both run on edge ids (see ``Instance``), ``round_split`` on a copy of the
 ``SplitAssignment``'s list, with no dict in between.  The public
@@ -113,25 +115,26 @@ def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> list[int]:
 
     The edges are inserted in ascending id into a rooted forest, held per
     vertex as its parent, the edge id to its parent (-1 at a root) and its
-    degree in the forest.  A vertex of forest degree 0 is hung under the
-    other end of its edge with no search.  Otherwise a's root path is marked
-    and b walks up to the first marked vertex, their lowest common ancestor,
-    or to its own root.
+    degree in the forest.  One rule roots it: the client end a of the
+    inserted edge is kept a root.  A server b of forest degree 0 is hung
+    under a, else an a of forest degree 0 under b, with no search.
+    Otherwise a's tree is re-rooted at a, by reversing the parent pointers
+    along a's root path, and b walks up its own root path.
 
-    * Different trees: the end with the shorter root path is re-rooted, by
-      reversing the parent pointers along that path, and hung under the
-      other end.
-    * Same tree: the edge closes exactly one cycle, a up to the ancestor,
-      down to b, then across the edge.  The alternation holding the cycle's
-      smallest edge id goes up by delta, the other down by delta (its
-      minimum).  Every tree edge that reached zero is cut; if the new edge
-      is still positive, the piece cut off at the end nearer a cut is
-      re-rooted at that end and hung under the other end.
+    * The path ends at a: the edge closes exactly that cycle, b up to a,
+      then across the edge.  The alternation holding the cycle's smallest
+      edge id goes up by delta, the other down by delta (its minimum).
+      Every tree edge that reached zero is cut.
+    * It ends elsewhere: the edge joins two trees.
+
+    If the edge is still positive, a, the root of its piece, is hung under b.
 
     Invariant: the forest is exactly the positive edges inserted so far,
     and every other inserted edge is 0.  A cancel preserves every vertex
     degree, so at the end the support is a forest with the degrees it had.
-    Nothing is rescanned: the cost is the sum of the root paths walked.
+    Nothing is rescanned: an insertion whose ends both have forest edges
+    walks a's root path and b's, and b's is the cycle when the edge closes
+    one.
     Ids sort like (c, s), so the smallest id on a cycle is its
     lexicographically smallest edge.  Returns the forest as each vertex's
     parent, -1 at a root; on a forest support ``x`` stays unchanged.
@@ -140,63 +143,42 @@ def _cancel_walk(inst: Instance, ids: list[int], x: list[int]) -> list[int]:
     parent = [-1] * n
     up = [-1] * n
     deg = [0] * n
-    mark = [-1] * n  # the edge id whose insertion marked the vertex last
     for e in ids:
         a, b = edges[e]
-        if not (deg[a] and deg[b]):
-            if deg[a]:
-                a, b = b, a
+        if not deg[b]:
+            parent[b], up[b] = a, e
+        elif not deg[a]:
             parent[a], up[a] = b, e
-            deg[a] += 1
-            deg[b] += 1
-            continue
-        v, depth_a = a, 0
-        while v >= 0:
-            mark[v] = e
-            v = parent[v]
-            depth_a += 1
-        below_b = []  # b's root path below the common ancestor v
-        v = b
-        while v >= 0 and mark[v] != e:
-            below_b.append(v)
-            v = parent[v]
-        if v >= 0:  # same tree: cancel the cycle a .. v .. b, e
-            path = []  # the vertices whose tree edge is on the cycle, in order
-            u = a
-            while u != v:
-                path.append(u)
-                u = parent[u]
-            n_a = len(path)
-            path += reversed(below_b)
-            cycle = [up[u] for u in path]
-            cycle.append(e)
-            parity = cycle.index(min(cycle)) & 1
-            delta = min([x[f] for f in cycle[1 - parity::2]])
-            for f in cycle[parity::2]:
-                x[f] += delta
-            for f in cycle[1 - parity::2]:
-                x[f] -= delta
-            cut = [k for k in range(1 - parity, len(path), 2) if not x[cycle[k]]]
-            for k in cut:
-                u = path[k]
-                deg[u] -= 1
-                deg[parent[u]] -= 1
-                parent[u] = up[u] = -1
-            if not x[e]:
-                continue
-            # a's piece is rooted at the lowest cut on its side, b's at the
-            # highest cut on its side; re-root the one nearer its end
-            to_a = cut[0] if cut[0] < n_a else n
-            to_b = len(path) - 1 - cut[-1] if cut[-1] >= n_a else n
-            if to_b < to_a:
-                a, b = b, a
-        elif len(below_b) < depth_a:
-            a, b = b, a
-        v, p, f = a, b, e  # re-root a's tree at a and hang it under b
-        while v >= 0:
-            next_v, next_f = parent[v], up[v]
-            parent[v], up[v] = p, f
-            v, p, f = next_v, v, next_f
+        else:
+            v, p, f = a, -1, -1  # re-root a's tree at a
+            while v >= 0:
+                next_v, next_f = parent[v], up[v]
+                parent[v], up[v] = p, f
+                v, p, f = next_v, v, next_f
+            path = []  # b's root path, b first
+            v = b
+            while v >= 0:
+                path.append(v)
+                v = parent[v]
+            if path[-1] == a:  # same tree: cancel the cycle b .. a, e
+                path.pop()
+                cycle = [up[u] for u in path]
+                cycle.append(e)
+                parity = cycle.index(min(cycle)) & 1
+                delta = min([x[f] for f in cycle[1 - parity::2]])
+                for f in cycle[parity::2]:
+                    x[f] += delta
+                for f in cycle[1 - parity::2]:
+                    x[f] -= delta
+                for k in range(1 - parity, len(path), 2):
+                    if not x[cycle[k]]:
+                        u = path[k]
+                        deg[u] -= 1
+                        deg[parent[u]] -= 1
+                        parent[u] = up[u] = -1
+                if not x[e]:
+                    continue
+            parent[a], up[a] = b, e
         deg[a] += 1
         deg[b] += 1
     return parent

@@ -281,20 +281,58 @@ def verify_message_budget(trace: SimTrace) -> bool:
 def check_budget(trace: SimTrace, inst: Instance) -> dict:
     """The verdict ``verify --check budget`` prints: ``pass`` iff the trace's
     charge, ``round_budget`` and its phase sum agree, its messages fit the
-    bandwidth and its sizes are those of ``inst`` as its algorithm prepares
-    it; ``expected_rounds``; and the ``reason`` it fails, where one is named."""
+    bandwidth, its sizes are those of ``inst`` as its algorithm prepares it
+    and its announcements are those ``run_simulation`` makes on that
+    instance (see ``_announcement_fault``); ``expected_rounds``; and the
+    ``reason`` it fails, where one is named.
+
+    A trace relabelled to another algorithm of the same model, sizes and
+    closed form still passes: nothing in a trace and an instance tells
+    which algorithm made it."""
     algo = simulated(trace.algorithm)
     expected = round_budget(trace.algorithm, trace.n, trace.n_expanded)
     work, _ = algo.prepare(inst)
     solved = {"n": work.n, "nExpanded": work.n_expanded}
     traced = {"n": trace.n, "nExpanded": trace.n_expanded}
     phase_sum = sum(p["rounds"] for p in trace.phases)
+    fault = _announcement_fault(trace, work, algo.takes_r)
     verdict = {"pass": (trace.charged_rounds == expected == phase_sum
-                        and verify_message_budget(trace) and traced == solved),
+                        and verify_message_budget(trace) and traced == solved
+                        and fault is None),
                "expected_rounds": expected}
     if traced != solved:
         verdict["reason"] = f"trace of another instance: {traced}, instance {solved}"
     elif phase_sum != trace.charged_rounds:
         verdict["reason"] = (f"phase rounds sum to {phase_sum}, "
                              f"trace charges {trace.charged_rounds}")
+    elif fault is not None:
+        verdict["reason"] = fault
     return verdict
+
+
+def _announcement_fault(trace: SimTrace, inst: Instance, takes_r: bool) -> str | None:
+    """The first way the trace's announcements differ from those of a
+    solve of ``inst``, or None: each message must lie on an edge of
+    ``inst`` and ride in round ``charged_rounds``, no edge may be announced
+    twice, and every client must announce once, or with ``takes_r`` as
+    often as the first client and at least once."""
+    announced = dict.fromkeys(inst.clients, 0)
+    seen = set()  # the edge ids announced so far
+    for i, msg in enumerate(trace.messages):
+        c, s = edge = msg["edge"]
+        e = inst.edge_id(c, s)
+        if e is None:
+            return f"message {i} on {edge}, not an edge of the instance"
+        if msg["round"] != trace.charged_rounds:
+            return (f"message {i} in round {msg['round']}, "
+                    f"not the final charged round {trace.charged_rounds}")
+        if e in seen:
+            return f"edge {edge} announced twice"
+        seen.add(e)
+        announced[c] += 1
+    first = next(iter(announced.values()), 1)
+    times = first if takes_r and first else 1
+    c = next((c for c, k in announced.items() if k != times), None)
+    if c is not None:
+        return f"client {c} made {announced[c]} announcements, expected {times}"
+    return None

@@ -157,3 +157,99 @@ def reference_star_round(inst, mult):
     if len(ids) > n_vertices - components:
         raise ValueError("support contains a cycle; run cancel_cycles first")
     return assignment
+
+
+def reference_cancel_walk(inst, ids: list[int], x: list[int]) -> list[int]:
+    """The cycle canceller ``rounding._cancel_walk`` is compared against:
+    cancel every cycle of the support ``ids`` (ascending edge ids) in
+    place in ``x``, the multiplicity of every edge id.
+
+    The edges are inserted in ascending id into a rooted forest, held per
+    vertex as its parent, the edge id to its parent (-1 at a root) and its
+    degree in the forest.  A vertex of forest degree 0 is hung under the
+    other end of its edge with no search.  Otherwise a's root path is marked
+    and b walks up to the first marked vertex, their lowest common ancestor,
+    or to its own root.
+
+    * Different trees: the end with the shorter root path is re-rooted, by
+      reversing the parent pointers along that path, and hung under the
+      other end.
+    * Same tree: the edge closes exactly one cycle, a up to the ancestor,
+      down to b, then across the edge.  The alternation holding the cycle's
+      smallest edge id goes up by delta, the other down by delta (its
+      minimum).  Every tree edge that reached zero is cut; if the new edge
+      is still positive, the piece cut off at the end nearer a cut is
+      re-rooted at that end and hung under the other end.
+
+    Invariant: the forest is exactly the positive edges inserted so far,
+    and every other inserted edge is 0.  A cancel preserves every vertex
+    degree, so at the end the support is a forest with the degrees it had.
+    Nothing is rescanned: the cost is the sum of the root paths walked.
+    Ids sort like (c, s), so the smallest id on a cycle is its
+    lexicographically smallest edge.  Returns the forest as each vertex's
+    parent, -1 at a root; on a forest support ``x`` stays unchanged.
+    """
+    edges, n = inst.edges, inst.n
+    parent = [-1] * n
+    up = [-1] * n
+    deg = [0] * n
+    mark = [-1] * n  # the edge id whose insertion marked the vertex last
+    for e in ids:
+        a, b = edges[e]
+        if not (deg[a] and deg[b]):
+            if deg[a]:
+                a, b = b, a
+            parent[a], up[a] = b, e
+            deg[a] += 1
+            deg[b] += 1
+            continue
+        v, depth_a = a, 0
+        while v >= 0:
+            mark[v] = e
+            v = parent[v]
+            depth_a += 1
+        below_b = []  # b's root path below the common ancestor v
+        v = b
+        while v >= 0 and mark[v] != e:
+            below_b.append(v)
+            v = parent[v]
+        if v >= 0:  # same tree: cancel the cycle a .. v .. b, e
+            path = []  # the vertices whose tree edge is on the cycle, in order
+            u = a
+            while u != v:
+                path.append(u)
+                u = parent[u]
+            n_a = len(path)
+            path += reversed(below_b)
+            cycle = [up[u] for u in path]
+            cycle.append(e)
+            parity = cycle.index(min(cycle)) & 1
+            delta = min([x[f] for f in cycle[1 - parity::2]])
+            for f in cycle[parity::2]:
+                x[f] += delta
+            for f in cycle[1 - parity::2]:
+                x[f] -= delta
+            cut = [k for k in range(1 - parity, len(path), 2) if not x[cycle[k]]]
+            for k in cut:
+                u = path[k]
+                deg[u] -= 1
+                deg[parent[u]] -= 1
+                parent[u] = up[u] = -1
+            if not x[e]:
+                continue
+            # a's piece is rooted at the lowest cut on its side, b's at the
+            # highest cut on its side; re-root the one nearer its end
+            to_a = cut[0] if cut[0] < n_a else n
+            to_b = len(path) - 1 - cut[-1] if cut[-1] >= n_a else n
+            if to_b < to_a:
+                a, b = b, a
+        elif len(below_b) < depth_a:
+            a, b = b, a
+        v, p, f = a, b, e  # re-root a's tree at a and hang it under b
+        while v >= 0:
+            next_v, next_f = parent[v], up[v]
+            parent[v], up[v] = p, f
+            v, p, f = next_v, v, next_f
+        deg[a] += 1
+        deg[b] += 1
+    return parent

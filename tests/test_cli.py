@@ -616,6 +616,48 @@ class TestVerify:
         assert entry["reason"] == (f"phase rounds sum to {doc['chargedRounds'] + 1}, "
                                    f"trace charges {doc['chargedRounds']}")
 
+    @pytest.mark.parametrize("algo,r,edit,reason", [
+        ("congest-unweighted", None,
+         lambda d: [m.update(edge=[9999, -5]) for m in d["simulatedMessages"]],
+         lambda d: "message 0 on [9999, -5], not an edge of the instance"),
+        ("congest-unweighted", None,
+         lambda d: [m.update(round=10**9) for m in d["simulatedMessages"]],
+         lambda d: (f"message 0 in round 1000000000, "
+                    f"not the final charged round {d['chargedRounds']}")),
+        ("congest-unweighted", None, lambda d: d.update(simulatedMessages=[]),
+         lambda d: "client 0 made 0 announcements, expected 1"),
+        ("congest-unweighted", None,
+         lambda d: d["simulatedMessages"].append(dict(d["simulatedMessages"][-1])),
+         lambda d: f"edge {d['simulatedMessages'][-1]['edge']} announced twice"),
+        ("backup", 2, lambda d: d["simulatedMessages"].pop(),
+         lambda d: f"client {d['simulatedMessages'][-1]['edge'][0]} made 1 announcements, "
+                   "expected 2"),
+        ("backup", 2, lambda d: d.update(simulatedMessages=[]),
+         lambda d: "client 0 made 0 announcements, expected 1"),
+    ], ids=["off-the-instance", "late-round", "emptied", "edge-twice", "backup-one-short",
+            "backup-emptied"])
+    def test_budget_check_reads_the_announcements(self, tmp_path, capsys, algo, r, edit,
+                                                  reason):
+        """Each client announces its server(s) once, on an edge of the
+        instance, in the final charged round; the first announcement that
+        breaks this is the reason the check fails."""
+        inst_path, trace_path = tmp_path / "inst.json", tmp_path / "trace.json"
+        write_instance(random_unit(3, nc=30, ns=10, p=0.8), inst_path)
+        run_cli(capsys, "solve", str(inst_path), "--algo", algo, "--simulate",
+                "--trace-out", str(trace_path), *(["--r", str(r)] if r else []))
+        code, _, _ = run_cli(capsys, "verify", str(inst_path), str(trace_path),
+                             "--check", "budget")
+        assert code == 0
+        doc = json.loads(trace_path.read_text())
+        edit(doc)
+        trace_path.write_text(json.dumps(doc))
+        code, stdout, _ = run_cli(capsys, "verify", str(inst_path), str(trace_path),
+                                  "--check", "budget")
+        assert code == 1
+        entry = json.loads(stdout)["checks"][0]
+        assert entry["pass"] is False
+        assert entry["reason"] == reason(doc)
+
     @pytest.mark.parametrize("algo,passes", [("congest-weighted", False),
                                              ("local-weighted", True)])
     def test_budget_check_bandwidth_follows_model(self, weighted_file, tmp_path, capsys,

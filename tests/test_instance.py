@@ -49,7 +49,7 @@ class TestBuildInstance:
     @pytest.mark.parametrize("edges,detail", [
         ([(0, 2), (1, 2), (0, 1)], r"edge \(0, 1\): 1 is not a server"),
         ([(2, 0), (0, 2)], r"edge \(2, 0\): 2 is not a client"),
-        ([(0, 2), ("a", 2)], r"edge \(a, 2\): a is not a client"),
+        ([(0, 2), ("a", 2)], r"edge \('a', 2\): 'a' is not a client"),
         ([(1, 7), (0, 2), (0, 9)], r"edge \(1, 7\): 7 is not a server"),
     ])
     def test_first_bad_edge_named(self, edges, detail):

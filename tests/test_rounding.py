@@ -13,9 +13,11 @@ from semimatch import (
     star_round,
     split_assignment_seq,
 )
+from semimatch.rounding import _cancel_walk, _stars, _support
 from conftest import (
     random_split_support,
     random_weighted,
+    reference_cancel_walk,
     reference_star_round,
     support_degrees,
 )
@@ -94,6 +96,54 @@ def weighted_supports(draw, split=False):
     edges = set(mult) | set(draw(st.lists(
         st.tuples(st.sampled_from(clients), st.sampled_from(servers)), max_size=6)))
     return build_instance(clients, servers, edges, weight), mult
+
+
+# banded, comb and fold return a support family's server count and edges
+
+def banded(k, width):
+    """Client i on servers k + i .. k + i + width - 1: a staircase."""
+    return k + width - 1, [(i, k + i + j) for i in range(k) for j in range(width)]
+
+
+def comb(k):
+    """A path of k spine clients, client i on servers 2k + i and 2k + i + 1,
+    then k teeth, tooth i on the same two servers."""
+    return k + 1, [(c + t * k, 2 * k + c + j) for t in range(2) for c in range(k)
+                   for j in range(2)]
+
+
+def fold(k):
+    """The width-3 staircase folded in half: the band positions of clients
+    0, 1, 2, 3, ... are 0, k - 1, 1, k - 2, ..."""
+    pos = [i // 2 if i % 2 == 0 else k - 1 - i // 2 for i in range(k)]
+    return k + 2, [(i, k + pos[i] + j) for i in range(k) for j in range(3)]
+
+
+@st.composite
+def walk_supports(draw):
+    """A support on which every client has units, its weight their sum:
+    random over up to 8 x 8 vertices, or a small banded, comb or fold
+    support in full.  Units come from 1..9, so that alternations tie, or
+    from 1..10^6."""
+    shape = draw(st.sampled_from(["random", "banded", "comb", "fold"]))
+    if shape == "random":
+        nc, ns = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        servers = range(nc, nc + ns)
+        edges = [(c, s) for c in range(nc)
+                 for s in draw(st.lists(st.sampled_from(servers), min_size=1, unique=True))]
+    else:
+        k = draw(st.integers(1, 24))
+        if shape == "banded":
+            ns, edges = banded(k, draw(st.integers(2, 4)))
+        else:
+            ns, edges = (comb if shape == "comb" else fold)(k)
+        nc = len({c for c, _ in edges})
+    top = draw(st.sampled_from([9, 10**6]))
+    mult = {e: draw(st.integers(1, top)) for e in edges}
+    weight = dict.fromkeys(range(nc), 0)
+    for (c, _), units in mult.items():
+        weight[c] += units
+    return build_instance(range(nc), range(nc, nc + ns), edges, weight), mult
 
 
 def edges_minus_forest_bound(mult):
@@ -194,6 +244,19 @@ class TestCancelCycles:
         assert all(type(x) is int and x > 0 for x in out.values())
         assert set(out) <= set(mult)
         assert cancel_cycles(inst, out) == out
+
+    @settings(max_examples=400, deadline=None)
+    @given(walk_supports())
+    def test_same_forest_and_stars_as_reference(self, case):
+        """The walk leaves the reference's ``x``, and star rounding picks
+        the same assignment on both forests, however each is rooted."""
+        inst, mult = case
+        ids, x = _support(inst, mult)
+        expected = list(x)
+        expected_parent = reference_cancel_walk(inst, ids, expected)
+        parent = _cancel_walk(inst, ids, x)
+        assert x == expected
+        assert _stars(inst, x, parent) == _stars(inst, expected, expected_parent)
 
     def test_full_k120_120_becomes_one_tree(self):
         # units from a wide range, so no two edges of a cycle's lower
